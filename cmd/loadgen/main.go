@@ -51,18 +51,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"netupdate/internal/core"
 	"netupdate/internal/ctl"
-	"netupdate/internal/migration"
-	"netupdate/internal/netstate"
 	"netupdate/internal/obs"
-	"netupdate/internal/routing"
-	"netupdate/internal/sched"
 	"netupdate/internal/shard"
-	"netupdate/internal/sim"
 	"netupdate/internal/topology"
-	"netupdate/internal/trace"
 	"netupdate/internal/wal"
+	"netupdate/internal/world"
 )
 
 func main() {
@@ -223,7 +217,10 @@ func run(args []string, stdout io.Writer) int {
 				WALDir: *walDir, WALSync: *walSync,
 			})
 		} else {
-			svc, laddr, err = startSelfhost(*schedName, *alpha, *k, *util, *watermark, *seed, *walDir, *walSync, spanSink)
+			svc, laddr, err = startSelfhost(world.Config{
+				K: *k, Util: *util, Seed: *seed, Tables: world.NoTables,
+				Scheduler: *schedName, Alpha: *alpha, Watermark: *watermark,
+			}, *walDir, *walSync, spanSink)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: selfhost: %v\n", err)
@@ -505,15 +502,12 @@ func discoverHosts(addr string) ([]int, error) {
 // set, the controller journals admissions there and recovers from any
 // existing history first — which is how scripts/bench.sh measures both
 // append overhead and restart-recovery time.
-func startSelfhost(schedName string, alpha, k int, util float64, watermark int, seed int64, walDir, walSync string, spanSink obs.Sink) (*ctl.Server, string, error) {
-	scheduler, err := sched.New(schedName, sched.WithAlpha(alpha), sched.WithSeed(seed))
+func startSelfhost(wcfg world.Config, walDir, walSync string, spanSink obs.Sink) (*ctl.Server, string, error) {
+	scheduler, err := wcfg.NewScheduler()
 	if err != nil {
 		return nil, "", err
 	}
-	opts := []ctl.ServerOption{ctl.WithHighWatermark(watermark)}
-	if spanSink != nil {
-		opts = append(opts, ctl.WithSpanSink(spanSink))
-	}
+	cfg := ctl.Config{Scheduler: scheduler, Watermark: wcfg.Watermark, SpanSink: spanSink}
 	var walLog *wal.Log
 	if walDir != "" {
 		policy, err := wal.ParseSyncPolicy(walSync)
@@ -523,45 +517,20 @@ func startSelfhost(schedName string, alpha, k int, util float64, watermark int, 
 		if walLog, err = wal.Open(walDir, wal.WithSync(policy)); err != nil {
 			return nil, "", err
 		}
+		cfg.WAL = &ctl.WALConfig{Log: walLog, Meta: wcfg.Meta(scheduler)}
 	}
-	ft, err := topology.NewFatTree(k, topology.Gbps)
+	w, err := world.Build(wcfg, walLog)
 	if err != nil {
 		return nil, "", err
 	}
-	net := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.NewRandomFit(seed+7))
-	gen, err := trace.NewGenerator(seed, trace.YahooLike{}, ft.Hosts())
+	cfg.Planner = w.Planner
+	srv, rec, err := ctl.New(cfg)
 	if err != nil {
 		return nil, "", err
 	}
-	restoring := walLog != nil && walLog.Checkpoint() != nil
-	if util > 0 && !restoring {
-		if _, err := trace.FillBackground(net, gen, util, 0); err != nil && !errors.Is(err, trace.ErrTargetUnreachable) {
-			return nil, "", err
-		}
-	}
-	planner := core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip)
-	var srv *ctl.Server
-	if walLog != nil {
-		meta := &wal.Meta{
-			Format:    wal.FormatVersion,
-			Scheduler: scheduler.Name(),
-			Seed:      seed,
-			K:         k,
-			Util:      util,
-			Watermark: watermark,
-		}
-		var rec *ctl.RecoveryInfo
-		srv, rec, err = ctl.NewServerWithWAL(planner, scheduler, sim.Config{},
-			ctl.WALConfig{Log: walLog, Meta: meta}, opts...)
-		if err != nil {
-			return nil, "", err
-		}
-		if rec.Recovered {
-			fmt.Fprintf(os.Stderr, "loadgen: selfhost recovered from WAL: %d records replayed in %v\n",
-				rec.ReplayedRecords, rec.Elapsed.Round(time.Millisecond))
-		}
-	} else {
-		srv = ctl.NewServer(planner, scheduler, sim.Config{}, opts...)
+	if rec != nil && rec.Recovered {
+		fmt.Fprintf(os.Stderr, "loadgen: selfhost recovered from WAL: %d records replayed in %v\n",
+			rec.ReplayedRecords, rec.Elapsed.Round(time.Millisecond))
 	}
 	l, err := netpkg.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

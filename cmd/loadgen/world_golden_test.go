@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"netupdate/internal/ctl"
+	"netupdate/internal/world"
 )
 
 // goldenWorld returns the pinned SHA-256 of the snapshot JSON of the
@@ -45,7 +46,10 @@ func TestSelfhostWorldGoldens(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, _, err := startSelfhost("p-lmtf", 4, tc.k, tc.util, ctl.DefaultHighWatermark, tc.seed, "", "group", nil)
+			srv, _, err := startSelfhost(world.Config{
+				K: tc.k, Util: tc.util, Seed: tc.seed, Tables: world.NoTables,
+				Scheduler: "p-lmtf", Alpha: 4, Watermark: ctl.DefaultHighWatermark,
+			}, "", "group", nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -63,19 +63,12 @@ import (
 	"syscall"
 	"time"
 
-	"netupdate/internal/core"
 	"netupdate/internal/ctl"
-	"netupdate/internal/migration"
-	"netupdate/internal/netstate"
 	"netupdate/internal/obs"
-	"netupdate/internal/routing"
-	"netupdate/internal/rules"
-	"netupdate/internal/sched"
 	"netupdate/internal/shard"
 	"netupdate/internal/sim"
-	"netupdate/internal/topology"
-	"netupdate/internal/trace"
 	"netupdate/internal/wal"
+	"netupdate/internal/world"
 )
 
 func main() {
@@ -156,7 +149,11 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) int {
 		})
 	}
 
-	scheduler, err := sched.New(*schedName, sched.WithAlpha(*alpha), sched.WithSeed(*seed))
+	wcfg := world.Config{
+		K: *k, Util: *util, Seed: *seed, Tables: *tables,
+		Scheduler: *schedName, Alpha: *alpha, Watermark: *watermark,
+	}
+	scheduler, err := wcfg.NewScheduler()
 	if err != nil {
 		// The typed error lists every registered scheduler.
 		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
@@ -168,6 +165,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) int {
 	// restores its own flows; replay without one folds against the
 	// freshly filled genesis network).
 	var walLog *wal.Log
+	var meta *wal.Meta
 	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*walSync)
 		if err != nil {
@@ -179,24 +177,31 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) int {
 			fmt.Fprintf(os.Stderr, "updated: wal: %v\n", err)
 			return 1
 		}
+		meta = wcfg.Meta(scheduler)
 	}
-	var meta *wal.Meta
-	if walLog != nil {
-		meta = &wal.Meta{
-			Format:    wal.FormatVersion,
-			Scheduler: scheduler.Name(),
-			Seed:      *seed,
-			K:         *k,
-			Util:      *util,
-			Watermark: *watermark,
-			Tables:    *tables,
+
+	cfg := ctl.Config{Scheduler: scheduler, Watermark: *watermark}
+	if *spanOut != "" {
+		f, err := os.Create(*spanOut)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "updated: span-out: %v\n", err)
+			return 1
 		}
+		// Registered before the server exists, so it runs after srv.Close
+		// has drained the async span sink into the file.
+		defer func() {
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "updated: span-out close: %v\n", err)
+			}
+		}()
+		cfg.SpanSink = obs.NewJSONLSink(f)
+		fmt.Fprintf(stdout, "updated: stage spans to %s\n", *spanOut)
 	}
 
 	// A follower handshakes before the world is built: if the leader
 	// ships a bootstrap checkpoint it is installed into the empty log
-	// now, so the `restoring` decision below sees it exactly as it
-	// would a locally written checkpoint.
+	// now, so world.Build sees it exactly as it would a locally written
+	// checkpoint.
 	var followCfg ctl.FollowerConfig
 	var followSess *ctl.FollowerSession
 	if *follow != "" {
@@ -206,6 +211,8 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) int {
 			LeaderAddr:      *follow,
 			CheckpointEvery: *walCkpt,
 			PromoteAfter:    *promote,
+			Watermark:       cfg.Watermark,
+			SpanSink:        cfg.SpanSink,
 		}
 		followSess, err = ctl.FollowerBootstrap(followCfg)
 		if err != nil {
@@ -214,92 +221,53 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) int {
 		}
 	}
 
-	ft, err := topology.NewFatTree(*k, topology.Gbps)
+	w, err := world.Build(wcfg, walLog)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
 		return 1
 	}
-	net := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.NewRandomFit(*seed+7))
 	if *tables >= 0 {
-		if err := net.AttachDataPlane(rules.NewManager(ft.Graph(), *tables)); err != nil {
-			fmt.Fprintf(os.Stderr, "updated: rule tables: %v\n", err)
-			return 1
-		}
 		fmt.Fprintf(stdout, "updated: two-phase rule tables attached (capacity %d per switch)\n", *tables)
 	}
-	gen, err := trace.NewGenerator(*seed, trace.YahooLike{}, ft.Hosts())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
-		return 1
-	}
-	restoring := walLog != nil && walLog.Checkpoint() != nil
-	if *util > 0 && !restoring {
-		placed, err := trace.FillBackground(net, gen, *util, 0)
-		if err != nil && !errors.Is(err, trace.ErrTargetUnreachable) {
-			fmt.Fprintf(os.Stderr, "updated: background: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "updated: background %d flows, utilization %.3f\n", len(placed), net.Utilization())
-	} else if restoring {
+	if walLog != nil && walLog.Checkpoint() != nil {
 		fmt.Fprintf(stdout, "updated: background fill skipped, restoring from checkpoint\n")
+	} else if *util > 0 {
+		fmt.Fprintf(stdout, "updated: background %d flows, utilization %.3f\n", len(w.Net.Registry().Placed()), w.Net.Utilization())
 	}
 
-	planner := core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip)
-	opts := []ctl.ServerOption{ctl.WithHighWatermark(*watermark)}
-	if *spanOut != "" {
-		f, err := os.Create(*spanOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "updated: span-out: %v\n", err)
-			return 1
-		}
-		// Registered before the server exists, so it runs after srv.Close
-		// below has drained the async span sink into the file.
-		defer func() {
-			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "updated: span-out close: %v\n", err)
-			}
-		}()
-		opts = append(opts, ctl.WithSpanSink(obs.NewJSONLSink(f)))
-		fmt.Fprintf(stdout, "updated: stage spans to %s\n", *spanOut)
-	}
+	cfg.Planner = w.Planner
 	var srv *ctl.Server
-	switch {
-	case followSess != nil:
-		var rec *ctl.RecoveryInfo
-		srv, rec, err = ctl.NewFollower(planner, scheduler, sim.Config{}, followCfg, followSess, opts...)
+	var rec *ctl.RecoveryInfo
+	if followSess != nil {
+		srv, rec, err = ctl.NewFollower(w.Planner, scheduler, sim.Config{}, followCfg, followSess)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "updated: follower recovery: %v\n", err)
 			return 1
 		}
-		if rec.Recovered {
-			fmt.Fprintf(stdout, "updated: recovered from WAL: checkpoint seq %d, %d records replayed, last seq %d (%v)\n",
-				rec.CheckpointSeq, rec.ReplayedRecords, rec.LastSeq, rec.Elapsed.Round(time.Millisecond))
+	} else {
+		if walLog != nil {
+			cfg.WAL = &ctl.WALConfig{Log: walLog, Meta: meta, CheckpointEvery: *walCkpt}
+			cfg.Replication.MaxFollowers = *maxFoll
 		}
-		fmt.Fprintf(stdout, "updated: wal in %s (sync=%s)\n", *walDir, *walSync)
-		if *promote > 0 {
-			fmt.Fprintf(stdout, "updated: following %s (auto-promote after %v)\n", *follow, *promote)
-		} else {
-			fmt.Fprintf(stdout, "updated: following %s (manual promotion only)\n", *follow)
-		}
-	case walLog != nil:
-		if *maxFoll > 0 {
-			opts = append(opts, ctl.WithReplication(ctl.ReplicationConfig{MaxFollowers: *maxFoll}))
-		}
-		var rec *ctl.RecoveryInfo
-		srv, rec, err = ctl.NewServerWithWAL(planner, scheduler, sim.Config{},
-			ctl.WALConfig{Log: walLog, Meta: meta, CheckpointEvery: *walCkpt},
-			opts...)
+		srv, rec, err = ctl.New(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "updated: wal recovery: %v\n", err)
 			return 1
 		}
+	}
+	if rec != nil {
 		if rec.Recovered {
 			fmt.Fprintf(stdout, "updated: recovered from WAL: checkpoint seq %d, %d records replayed, last seq %d (%v)\n",
 				rec.CheckpointSeq, rec.ReplayedRecords, rec.LastSeq, rec.Elapsed.Round(time.Millisecond))
 		}
 		fmt.Fprintf(stdout, "updated: wal in %s (sync=%s)\n", *walDir, *walSync)
-	default:
-		srv = ctl.NewServer(planner, scheduler, sim.Config{}, opts...)
+	}
+	if followSess != nil {
+		promotion := "manual promotion only"
+		if *promote > 0 {
+			promotion = fmt.Sprintf("auto-promote after %v", *promote)
+		}
+		fmt.Fprintf(stdout, "updated: following %s (%s)\n", *follow, promotion)
 	}
 
 	if *telemetry != "" {
@@ -313,7 +281,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) int {
 
 	return serveCtl(stdout, stop, *addr, srv, func(l netpkg.Listener) {
 		fmt.Fprintf(stdout, "updated: %s scheduler on %s (k=%d, %d hosts)\n",
-			scheduler.Name(), l.Addr(), *k, ft.NumHosts())
+			scheduler.Name(), l.Addr(), *k, w.FT.NumHosts())
 	})
 }
 
@@ -400,22 +368,6 @@ func runShardEngine(stdout io.Writer, stop <-chan os.Signal, addr, telemetry str
 // already-running remote shard engines (each an `updated` started with
 // matching world flags; shard i+1 is the i-th address).
 func runGateway(stdout io.Writer, stop <-chan os.Signal, addr, telemetry string, k int, crossFrac float64, shardAddrs []string) int {
-	ref, err := topology.NewFatTree(k, topology.Gbps)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
-		return 1
-	}
-	part, err := shard.NewPartition(ref, len(shardAddrs))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
-		return 1
-	}
-	frac, err := shard.ResolveCrossPoolFrac(len(shardAddrs), crossFrac)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
-		return 1
-	}
-
 	backends := make([]ctl.Backend, len(shardAddrs))
 	closeBackends := func() {
 		for _, b := range backends {
@@ -468,7 +420,7 @@ func runGateway(stdout io.Writer, stop <-chan os.Signal, addr, telemetry string,
 	}
 	defer closeBackends()
 
-	gw, err := shard.NewGateway(part, ref.Graph(), shard.CrossPoolFor(ref, part, frac), backends)
+	gw, err := shard.NewRemoteGateway(k, crossFrac, backends)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "updated: %v\n", err)
 		return 1

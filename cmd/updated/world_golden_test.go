@@ -6,6 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -66,5 +68,47 @@ func TestDaemonWorldGoldens(t *testing.T) {
 				t.Errorf("world digest %s, want %s", got, want)
 			}
 		})
+	}
+}
+
+// TestDaemonRecoversLoadgenLog: the load generator's selfhost controller
+// and the daemon derive one WAL meta from the same world flags, so a log
+// the former writes is replayed by the latter instead of being refused
+// as a different world.
+func TestDaemonRecoversLoadgenLog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the loadgen binary; skipped in -short")
+	}
+	bin := filepath.Join(t.TempDir(), "loadgen")
+	if out, err := exec.Command("go", "build", "-o", bin, "../loadgen").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	walDir := filepath.Join(t.TempDir(), "wal")
+	worldFlags := []string{"-k", "4", "-util", "0.3", "-seed", "3"}
+	out, err := exec.Command(bin, append([]string{"-selfhost", "-wal-dir", walDir,
+		"-rate", "200", "-duration", "300ms", "-json"}, worldFlags...)...).Output()
+	if err != nil {
+		t.Fatalf("loadgen: %v\n%s", err, out)
+	}
+	var sum struct {
+		Accepted int64 `json:"accepted"`
+	}
+	if err := json.Unmarshal(out, &sum); err != nil || sum.Accepted == 0 {
+		t.Fatalf("loadgen summary %s: accepted %d, err %v", out, sum.Accepted, err)
+	}
+
+	addr, _, stop, done := bootDaemon(t, append([]string{"-addr", "127.0.0.1:0", "-wal-dir", walDir}, worldFlags...))
+	defer shutdownDaemon(t, stop, done)
+	c, err := ctl.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(st.EventsDone) != sum.Accepted {
+		t.Errorf("daemon recovered %d events, loadgen had %d accepted", st.EventsDone, sum.Accepted)
 	}
 }

@@ -107,7 +107,7 @@ func TestResponseFrameRoundTrip(t *testing.T) {
 // codec against a live server, and checks the codec counters the server
 // reports.
 func TestBinaryClientEndToEnd(t *testing.T) {
-	jsonClient, ft := startServer(t, sched.NewLMTF(4, 1))
+	jsonClient, ft := startServer(t, sched.NewLMTF(4, 1), 0)
 	addr := jsonClient.conn.RemoteAddr().String()
 	client, err := DialBinary(addr)
 	if err != nil {
@@ -172,7 +172,7 @@ func TestBinaryClientEndToEnd(t *testing.T) {
 // TestBinaryRejectsValidation checks the dense verdict path carries
 // per-event validation errors like JSON does.
 func TestBinaryRejectsValidation(t *testing.T) {
-	jsonClient, ft := startServer(t, sched.FIFO{})
+	jsonClient, ft := startServer(t, sched.FIFO{}, 0)
 	client, err := DialBinary(jsonClient.conn.RemoteAddr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestBinaryRejectsValidation(t *testing.T) {
 // TestPipelineSubmit floods a pipelined connection and checks every
 // batch is answered exactly once, in order, with a positive latency.
 func TestPipelineSubmit(t *testing.T) {
-	jsonClient, ft := startServer(t, sched.FIFO{}, WithHighWatermark(100000))
+	jsonClient, ft := startServer(t, sched.FIFO{}, 100000)
 	addr := jsonClient.conn.RemoteAddr().String()
 
 	const batches = 64
@@ -298,9 +298,9 @@ func TestPipelineServerGone(t *testing.T) {
 }
 
 // startCodecServer brings up a server over its own deterministically
-// seeded network for the trace-parity test. Extra server options (e.g.
-// a span sink) are applied as given.
-func startCodecServer(t *testing.T, probes int, opts ...ServerOption) string {
+// seeded network for the trace-parity test, with spans (nil = none) as
+// its span sink.
+func startCodecServer(t *testing.T, probes int, spans obs.Sink) string {
 	t.Helper()
 	ft, err := topology.NewFatTree(4, topology.Gbps)
 	if err != nil {
@@ -315,7 +315,7 @@ func startCodecServer(t *testing.T, probes int, opts ...ServerOption) string {
 		t.Fatal(err)
 	}
 	planner := core.NewPlanner(migration.NewPlanner(net1, 0), core.FailSkip)
-	srv := NewServer(planner, sched.NewLMTF(4, 99), sim.Config{InstallTime: time.Millisecond, Probes: probes}, opts...)
+	srv := mustNew(t, Config{Planner: planner, Scheduler: sched.NewLMTF(4, 99), Sim: sim.Config{InstallTime: time.Millisecond, Probes: probes}, SpanSink: spans})
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -366,12 +366,12 @@ func TestCodecTraceParity(t *testing.T) {
 	}
 	traces := make(map[string]string)
 	for _, cb := range combos {
-		var opts []ServerOption
+		var sink obs.Sink
 		var spanBuf syncBuffer
 		if cb.spans {
-			opts = append(opts, WithSpanSink(obs.NewJSONLSink(&spanBuf)))
+			sink = obs.NewJSONLSink(&spanBuf)
 		}
-		addr := startCodecServer(t, cb.probes, opts...)
+		addr := startCodecServer(t, cb.probes, sink)
 		var client *Client
 		var err error
 		if cb.binary {

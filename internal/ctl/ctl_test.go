@@ -21,10 +21,20 @@ import (
 	"netupdate/internal/trace"
 )
 
+// mustNew is New for a Config that cannot fail (no WAL).
+func mustNew(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	srv, _, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 // startServer brings up a controller over a loaded k=4 fat-tree on an
-// ephemeral port and returns a connected client. Everything is torn down
-// by t.Cleanup.
-func startServer(t *testing.T, scheduler sched.Scheduler, opts ...ServerOption) (*Client, *topology.FatTree) {
+// ephemeral port and returns a connected client. watermark <= 0 keeps
+// the default intake bound. Everything is torn down by t.Cleanup.
+func startServer(t *testing.T, scheduler sched.Scheduler, watermark int) (*Client, *topology.FatTree) {
 	t.Helper()
 	ft, err := topology.NewFatTree(4, topology.Gbps)
 	if err != nil {
@@ -39,7 +49,7 @@ func startServer(t *testing.T, scheduler sched.Scheduler, opts ...ServerOption) 
 		t.Fatal(err)
 	}
 	planner := core.NewPlanner(migration.NewPlanner(net1, 0), core.FailSkip)
-	srv := NewServer(planner, scheduler, sim.Config{InstallTime: time.Millisecond}, opts...)
+	srv := mustNew(t, Config{Planner: planner, Scheduler: scheduler, Sim: sim.Config{InstallTime: time.Millisecond}, Watermark: watermark})
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -83,14 +93,14 @@ func eventSpec(ft *topology.FatTree, nFlows int, demandMbps int64) EventSpec {
 }
 
 func TestPing(t *testing.T) {
-	client, _ := startServer(t, sched.FIFO{})
+	client, _ := startServer(t, sched.FIFO{}, 0)
 	if err := client.Ping(); err != nil {
 		t.Fatalf("Ping: %v", err)
 	}
 }
 
 func TestSubmitAndWait(t *testing.T) {
-	client, ft := startServer(t, sched.NewPLMTF(2, 1))
+	client, ft := startServer(t, sched.NewPLMTF(2, 1), 0)
 	id, err := client.Submit(eventSpec(ft, 5, 10))
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -114,7 +124,7 @@ func TestSubmitAndWait(t *testing.T) {
 }
 
 func TestSubmitManyAndResults(t *testing.T) {
-	client, ft := startServer(t, sched.NewLMTF(2, 1))
+	client, ft := startServer(t, sched.NewLMTF(2, 1), 0)
 	const n = 8
 	ids := make([]int64, n)
 	for i := range ids {
@@ -151,7 +161,7 @@ func TestSubmitManyAndResults(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	client, ft := startServer(t, sched.FIFO{})
+	client, ft := startServer(t, sched.FIFO{}, 0)
 	before, err := client.Stats()
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +192,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestStatusUnknownEvent(t *testing.T) {
-	client, _ := startServer(t, sched.FIFO{})
+	client, _ := startServer(t, sched.FIFO{}, 0)
 	st, err := client.Status(9999)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +203,7 @@ func TestStatusUnknownEvent(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	client, ft := startServer(t, sched.FIFO{})
+	client, ft := startServer(t, sched.FIFO{}, 0)
 	host := int(ft.Hosts()[0])
 	cases := []struct {
 		name string
@@ -220,14 +230,14 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestUnknownOp(t *testing.T) {
-	client, _ := startServer(t, sched.FIFO{})
+	client, _ := startServer(t, sched.FIFO{}, 0)
 	if _, err := client.roundTrip(Request{Op: "bogus"}); err == nil {
 		t.Error("bogus op succeeded")
 	}
 }
 
 func TestConcurrentClients(t *testing.T) {
-	client, ft := startServer(t, sched.NewPLMTF(2, 3))
+	client, ft := startServer(t, sched.NewPLMTF(2, 3), 0)
 	addr := client.conn.RemoteAddr().String()
 
 	const workers = 4
@@ -272,7 +282,7 @@ func TestConcurrentClients(t *testing.T) {
 }
 
 func TestMalformedJSONDropsConnection(t *testing.T) {
-	client, _ := startServer(t, sched.FIFO{})
+	client, _ := startServer(t, sched.FIFO{}, 0)
 	addr := client.conn.RemoteAddr().String()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -303,7 +313,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 	net1 := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.WidestFit{})
 	planner := core.NewPlanner(migration.NewPlanner(net1, 0), core.FailSkip)
-	srv := NewServer(planner, sched.FIFO{}, sim.Config{})
+	srv := mustNew(t, Config{Planner: planner, Scheduler: sched.FIFO{}})
 	if err := srv.Close(); err != nil {
 		t.Fatalf("first Close: %v", err)
 	}
@@ -326,7 +336,7 @@ func TestCloseUnderLoadNoDeadlock(t *testing.T) {
 	}
 	net1 := netstate.New(ft.Graph(), routing.NewFatTreeProvider(ft), routing.WidestFit{})
 	planner := core.NewPlanner(migration.NewPlanner(net1, 0), core.FailSkip)
-	srv := NewServer(planner, sched.FIFO{}, sim.Config{InstallTime: time.Millisecond})
+	srv := mustNew(t, Config{Planner: planner, Scheduler: sched.FIFO{}, Sim: sim.Config{InstallTime: time.Millisecond}})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +385,7 @@ func TestCloseUnderLoadNoDeadlock(t *testing.T) {
 
 func TestProtocolWireFormat(t *testing.T) {
 	// The protocol is line-delimited JSON; verify a raw exchange.
-	client, ft := startServer(t, sched.FIFO{})
+	client, ft := startServer(t, sched.FIFO{}, 0)
 	addr := client.conn.RemoteAddr().String()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -403,7 +413,7 @@ func TestProtocolWireFormat(t *testing.T) {
 }
 
 func TestSnapshotOp(t *testing.T) {
-	client, ft := startServer(t, sched.FIFO{})
+	client, ft := startServer(t, sched.FIFO{}, 0)
 	id, err := client.Submit(eventSpec(ft, 3, 5))
 	if err != nil {
 		t.Fatal(err)
@@ -458,7 +468,7 @@ func loadedFabricLink(t *testing.T, snap *snapshot.Snapshot) int {
 }
 
 func TestFaultLinkDownRecovery(t *testing.T) {
-	client, _ := startServer(t, sched.NewPLMTF(2, 1))
+	client, _ := startServer(t, sched.NewPLMTF(2, 1), 0)
 	snap, err := client.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -508,7 +518,7 @@ func TestFaultLinkDownRecovery(t *testing.T) {
 }
 
 func TestFaultInstallTimeout(t *testing.T) {
-	client, ft := startServer(t, sched.FIFO{})
+	client, ft := startServer(t, sched.FIFO{}, 0)
 	if _, err := client.Fault(FaultSpec{Action: "install-timeout", Times: 1}); err != nil {
 		t.Fatalf("Fault install-timeout: %v", err)
 	}
@@ -533,7 +543,7 @@ func TestFaultInstallTimeout(t *testing.T) {
 }
 
 func TestFaultValidation(t *testing.T) {
-	client, _ := startServer(t, sched.FIFO{})
+	client, _ := startServer(t, sched.FIFO{}, 0)
 	cases := []struct {
 		name string
 		spec FaultSpec
@@ -557,7 +567,7 @@ func TestFaultValidation(t *testing.T) {
 }
 
 func TestTraceOp(t *testing.T) {
-	client, ft := startServer(t, sched.NewPLMTF(2, 1))
+	client, ft := startServer(t, sched.NewPLMTF(2, 1), 0)
 	const n = 4
 	for i := 0; i < n; i++ {
 		id, err := client.Submit(eventSpec(ft, 3, 5))

@@ -13,7 +13,7 @@ import (
 )
 
 func TestSubmitBatch(t *testing.T) {
-	client, ft := startServer(t, sched.NewLMTF(2, 1))
+	client, ft := startServer(t, sched.NewLMTF(2, 1), 0)
 	events := make([]EventSpec, 6)
 	for i := range events {
 		events[i] = eventSpec(ft, 2+i%3, 5)
@@ -54,7 +54,7 @@ func TestSubmitBatch(t *testing.T) {
 
 func TestSubmitBatchOverloadVerdicts(t *testing.T) {
 	const watermark = 3
-	client, ft := startServer(t, sched.FIFO{}, WithHighWatermark(watermark))
+	client, ft := startServer(t, sched.FIFO{}, watermark)
 	// One request larger than the watermark: the due prefix is admitted,
 	// the remainder rejected — deterministically, because staging counts
 	// within the request before the state loop runs any rounds.
@@ -145,7 +145,7 @@ func TestSubmitBatchOverloadVerdicts(t *testing.T) {
 }
 
 func TestSubmitBatchValidationVerdicts(t *testing.T) {
-	client, ft := startServer(t, sched.FIFO{})
+	client, ft := startServer(t, sched.FIFO{}, 0)
 	good := eventSpec(ft, 2, 5)
 	bad := EventSpec{} // no flows
 	verdicts, overload, err := client.SubmitBatch([]EventSpec{good, bad, good})
@@ -295,7 +295,7 @@ func TestProtocolVersionNegotiation(t *testing.T) {
 	}
 
 	// Wire level: the server answers the error and keeps the connection.
-	client, _ := startServer(t, sched.FIFO{})
+	client, _ := startServer(t, sched.FIFO{}, 0)
 	conn, err := net.Dial("tcp", client.conn.RemoteAddr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestProtocolVersionNegotiation(t *testing.T) {
 // the buffered command channel: everything below the watermark must be
 // admitted (no spurious overloads) and complete.
 func TestBurstAdmission(t *testing.T) {
-	client, ft := startServer(t, sched.FIFO{})
+	client, ft := startServer(t, sched.FIFO{}, 0)
 	addr := client.conn.RemoteAddr().String()
 	const conns = 4
 	const perConn = 8

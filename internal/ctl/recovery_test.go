@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,10 +69,10 @@ func startWALServer(t *testing.T, dir string, ckptEvery int, opts ...wal.Option)
 		t.Fatalf("wal.Open(%s): %v", dir, err)
 	}
 	planner, scheduler, ft := buildWALWorld(t, log.Checkpoint() == nil)
-	srv, rec, err := NewServerWithWAL(planner, scheduler, sim.Config{InstallTime: time.Millisecond},
-		WALConfig{Log: log, CheckpointEvery: ckptEvery})
+	srv, rec, err := New(Config{Planner: planner, Scheduler: scheduler, Sim: sim.Config{InstallTime: time.Millisecond},
+		WAL: &WALConfig{Log: log, CheckpointEvery: ckptEvery}})
 	if err != nil {
-		t.Fatalf("NewServerWithWAL: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -571,12 +572,84 @@ func TestRecoveryRejectsMismatchedWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	planner, _, _ := buildWALWorld(t, true)
-	srv, _, err := NewServerWithWAL(planner, sched.FIFO{}, sim.Config{}, WALConfig{Log: log})
+	srv, _, err := New(Config{Planner: planner, Scheduler: sched.FIFO{}, WAL: &WALConfig{Log: log}})
 	if err == nil {
 		srv.Close()
 		t.Fatal("a p-lmtf log recovered into a fifo server")
 	}
 	if !strings.Contains(err.Error(), "p-lmtf") || !strings.Contains(err.Error(), "fifo") {
 		t.Errorf("mismatch error %q does not name both schedulers", err)
+	}
+}
+
+// flushCounter is a span sink that counts its flushes.
+type flushCounter struct{ flushes atomic.Int32 }
+
+func (*flushCounter) Emit(*obs.Record) {}
+
+func (f *flushCounter) Flush() error {
+	f.flushes.Add(1)
+	return nil
+}
+
+// TestNewReleasesSpanSinkOnWALError: a construction that fails in WAL
+// recovery returns the typed error and releases the span sink the way
+// Close would — its drain goroutine stopped and the sink flushed.
+func TestNewReleasesSpanSinkOnWALError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	srvA, clientA, _, ft := startWALServer(t, dir, -1)
+	playChunk(t, clientA, walWorkload(ft, 9, 1, 2)[0])
+	if err := srvA.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	log, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner, _, _ := buildWALWorld(t, true)
+	sink := &flushCounter{}
+	srv, _, err := New(Config{Planner: planner, Scheduler: sched.FIFO{}, SpanSink: sink, WAL: &WALConfig{Log: log}})
+	if err == nil {
+		srv.Close()
+		t.Fatal("a p-lmtf log recovered into a fifo server")
+	}
+	if !errors.Is(err, wal.ErrMetaMismatch) {
+		t.Fatalf("New = %v, want wal.ErrMetaMismatch", err)
+	}
+	if n := sink.flushes.Load(); n != 1 {
+		t.Errorf("span sink flushed %d times after the failed New, want 1", n)
+	}
+}
+
+// TestNewCorruptTermLeavesNoSegment: on an empty log, an unreadable
+// persisted term fails construction before the writer opens, so no
+// segment file is left behind.
+func TestNewCorruptTermLeavesNoSegment(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "term.json"), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planner, scheduler, _ := buildWALWorld(t, true)
+	srv, _, err := New(Config{Planner: planner, Scheduler: scheduler, WAL: &WALConfig{Log: log}})
+	if err == nil {
+		srv.Close()
+		t.Fatal("New accepted a corrupt term.json")
+	}
+	if !strings.Contains(err.Error(), "term") {
+		t.Errorf("New = %v, want a term error", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "term.json" {
+			t.Errorf("failed New left %s in the log directory", e.Name())
+		}
 	}
 }

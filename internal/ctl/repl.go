@@ -109,13 +109,6 @@ type ReplicationConfig struct {
 	HeartbeatEvery time.Duration
 }
 
-// WithReplication overrides the leader-side replication tunables.
-// Replication itself needs no opt-in: every WAL-backed server accepts
-// follower sessions up to MaxFollowers.
-func WithReplication(rc ReplicationConfig) ServerOption {
-	return func(s *Server) { s.replCfg = &rc }
-}
-
 // errFoldFailed marks a follower-side apply error (sequence gap, replay
 // divergence, checkpoint misalignment). It is terminal: reconnecting
 // would deterministically fail again.
@@ -913,6 +906,10 @@ type FollowerConfig struct {
 	DialTimeout time.Duration
 	// ReconnectEvery is the redial backoff (0 = DefaultReconnectEvery).
 	ReconnectEvery time.Duration
+	// Watermark and SpanSink configure the follower's server as the
+	// Config fields of the same names do.
+	Watermark int
+	SpanSink  obs.Sink
 }
 
 // FollowerSession is an established replication stream, handed from
@@ -1017,18 +1014,19 @@ func dialFollowerSession(cfg *FollowerConfig, term uint64, afterSeq int64, boots
 
 // NewFollower builds a read-only server that continuously folds the
 // leader's WAL stream. It recovers the follower's own log first (the
-// same initWAL path NewServerWithWAL takes — a bootstrap checkpoint
-// installed by FollowerBootstrap restores like any other), then applies
-// frames from sess as they arrive. Writes are answered with a typed
-// not-leader rejection until promotion.
-func NewFollower(planner *core.Planner, scheduler sched.Scheduler, simCfg sim.Config, cfg FollowerConfig, sess *FollowerSession, opts ...ServerOption) (*Server, *RecoveryInfo, error) {
+// same initWAL path New takes — a bootstrap checkpoint installed by
+// FollowerBootstrap restores like any other), then applies frames from
+// sess as they arrive. Writes are answered with a typed not-leader
+// rejection until promotion.
+func NewFollower(planner *core.Planner, scheduler sched.Scheduler, simCfg sim.Config, cfg FollowerConfig, sess *FollowerSession) (*Server, *RecoveryInfo, error) {
 	if sess == nil {
 		return nil, nil, fmt.Errorf("ctl: NewFollower needs the session from FollowerBootstrap")
 	}
-	s := newServer(planner, scheduler, simCfg, opts...)
-	info, err := s.initWAL(WALConfig{Log: cfg.Log, Meta: cfg.Meta, CheckpointEvery: cfg.CheckpointEvery, followerBoot: true})
+	s := newServer(Config{Planner: planner, Scheduler: scheduler, Sim: simCfg, Watermark: cfg.Watermark, SpanSink: cfg.SpanSink})
+	info, err := s.initWAL(WALConfig{Log: cfg.Log, Meta: cfg.Meta, CheckpointEvery: cfg.CheckpointEvery, followerBoot: true}, ReplicationConfig{})
 	if err != nil {
 		_ = sess.conn.Close()
+		s.abort()
 		return nil, nil, err
 	}
 	r := s.repl

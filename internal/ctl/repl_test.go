@@ -32,11 +32,11 @@ func startReplLeader(t *testing.T, dir string, ckptEvery int, wopts ...wal.Optio
 		t.Fatalf("wal.Open(%s): %v", dir, err)
 	}
 	planner, scheduler, ft := buildWALWorld(t, log.Checkpoint() == nil)
-	srv, _, err := NewServerWithWAL(planner, scheduler, sim.Config{InstallTime: time.Millisecond},
-		WALConfig{Log: log, CheckpointEvery: ckptEvery},
-		WithReplication(ReplicationConfig{HeartbeatEvery: 50 * time.Millisecond}))
+	srv, _, err := New(Config{Planner: planner, Scheduler: scheduler, Sim: sim.Config{InstallTime: time.Millisecond},
+		Replication: ReplicationConfig{HeartbeatEvery: 50 * time.Millisecond},
+		WAL:         &WALConfig{Log: log, CheckpointEvery: ckptEvery}})
 	if err != nil {
-		t.Fatalf("NewServerWithWAL: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	client, addr := serveAndDial(t, srv)
 	return srv, client, addr, ft
@@ -61,8 +61,7 @@ func startReplFollower(t *testing.T, dir, leaderAddr string, meta wal.Meta, ckpt
 		t.Fatalf("FollowerBootstrap: %v", err)
 	}
 	planner, scheduler, _ := buildWALWorld(t, log.Checkpoint() == nil)
-	srv, _, err := NewFollower(planner, scheduler, sim.Config{InstallTime: time.Millisecond}, cfg, sess,
-		WithReplication(ReplicationConfig{HeartbeatEvery: 50 * time.Millisecond}))
+	srv, _, err := NewFollower(planner, scheduler, sim.Config{InstallTime: time.Millisecond}, cfg, sess)
 	if err != nil {
 		t.Fatalf("NewFollower: %v", err)
 	}
@@ -497,7 +496,7 @@ func TestReplAttachRejections(t *testing.T) {
 
 	// A server running without a WAL has nothing to replicate.
 	planner, scheduler, _ := buildWALWorld(t, true)
-	plain := NewServer(planner, scheduler, sim.Config{InstallTime: time.Millisecond})
+	plain := mustNew(t, Config{Planner: planner, Scheduler: scheduler, Sim: sim.Config{InstallTime: time.Millisecond}})
 	_, plainAddr := serveAndDial(t, plain)
 	sess, err = dialFollowerSession(&FollowerConfig{LeaderAddr: plainAddr, Meta: &meta}, 1, 0, true)
 	if err != nil {

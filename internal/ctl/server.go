@@ -43,8 +43,7 @@ type Server struct {
 	// even when no span sink is configured.
 	lat       *obs.LatencyMetrics
 	spans     *obs.SpanRecorder
-	spanSink  obs.Sink // as configured by WithSpanSink (nil = none)
-	spanAsync *obs.AsyncSink
+	spanAsync *obs.AsyncSink // nil without a configured span sink
 
 	// watermark bounds the update queue: submissions arriving at or past
 	// it are rejected with a typed overload response instead of queued.
@@ -73,8 +72,7 @@ type Server struct {
 
 	// WAL replication hub (nil without a WAL). Role and term are state-
 	// loop confined; see repl.go for the full confinement story.
-	repl    *replState
-	replCfg *ReplicationConfig
+	repl *replState
 
 	// shardID and idStride place this engine in a sharded deployment:
 	// shard s of N mints event IDs s, s+N, s+2N, … so IDs are globally
@@ -118,8 +116,8 @@ type command struct {
 // thousand rounds of history without unbounded growth.
 const traceRingSize = 4096
 
-// DefaultHighWatermark is the intake bound used when no option overrides
-// it: past this many queued events, submissions are rejected with an
+// DefaultHighWatermark is the intake bound used when Config.Watermark
+// is <= 0: past this many queued events, submissions are rejected with an
 // overload response instead of growing the queue without bound.
 const DefaultHighWatermark = 4096
 
@@ -133,68 +131,16 @@ const cmdBacklog = 1024
 // a stuck consumer costs bounded memory (overflow drops and counts).
 const spanSinkDepth = 8192
 
-// ServerOption configures a Server at construction.
-type ServerOption func(*Server)
-
-// WithSpanSink routes stage-level latency span records (obs.KindStage)
-// to sink, e.g. an obs.JSONLSink over a span file. The server wraps the
-// sink in a bounded async stage so span emission never blocks the state
-// loop; overflow drops records and counts them in
-// obs_spans_dropped_total. The sink receives records from a background
-// goroutine and is flushed and released by Server.Close.
-func WithSpanSink(sink obs.Sink) ServerOption {
-	return func(s *Server) { s.spanSink = sink }
-}
-
-// WithHighWatermark sets the intake bound: submissions arriving when the
-// update queue holds n or more events are answered with a typed
-// overload response carrying the queue depth and a retry-after hint.
-// n <= 0 keeps DefaultHighWatermark.
-func WithHighWatermark(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.watermark = n
-		}
-	}
-}
-
-// WithShard places the server in a sharded deployment as shard id (1-
-// based) of count engines: event IDs stride by count starting at id, so
-// every shard mints from a disjoint ID lattice, submit verdicts carry
-// the shard, and the WAL meta records the placement. id/count outside
-// 1 <= id <= count are ignored (the unsharded default).
-func WithShard(id, count int) ServerOption {
-	return func(s *Server) {
-		if id < 1 || count < 1 || id > count {
-			return
-		}
-		s.shardID = id
-		s.idStride = int64(count)
-		s.nextID = int64(id)
-	}
-}
-
-// NewServer wraps a planner (owning a prepared network) and a scheduler.
-// cfg is the virtual timing model used to compute per-event metrics.
-//
-// Deprecated: use New with a Config; this remains as a thin wrapper for
-// existing callers.
-func NewServer(planner *core.Planner, scheduler sched.Scheduler, cfg sim.Config, opts ...ServerOption) *Server {
-	s := newServer(planner, scheduler, cfg, opts...)
-	s.start()
-	return s
-}
-
 // newServer builds a server without starting its state loop, so WAL
-// recovery (NewServerWithWAL) can replay history into the engine while
-// it is still single-threaded.
-func newServer(planner *core.Planner, scheduler sched.Scheduler, cfg sim.Config, opts ...ServerOption) *Server {
+// recovery can replay history into the engine while it is still
+// single-threaded.
+func newServer(cfg Config) *Server {
 	s := &Server{
-		engine:    sim.NewEngine(planner, scheduler, cfg),
-		planner:   planner,
-		sched:     scheduler,
-		scheduler: scheduler.Name(),
-		numNodes:  planner.Network().Graph().NumNodes(),
+		engine:    sim.NewEngine(cfg.Planner, cfg.Scheduler, cfg.Sim),
+		planner:   cfg.Planner,
+		sched:     cfg.Scheduler,
+		scheduler: cfg.Scheduler.Name(),
+		numNodes:  cfg.Planner.Network().Graph().NumNodes(),
 		registry:  obs.NewRegistry(),
 		ring:      obs.NewRingSink(traceRingSize),
 		watermark: DefaultHighWatermark,
@@ -204,8 +150,13 @@ func newServer(planner *core.Planner, scheduler sched.Scheduler, cfg sim.Config,
 		cmds:      make(chan command, cmdBacklog),
 		loopStop:  make(chan struct{}),
 	}
-	for _, opt := range opts {
-		opt(s)
+	if cfg.Watermark > 0 {
+		s.watermark = cfg.Watermark
+	}
+	if sh := cfg.Shard; sh.ID >= 1 && sh.ID <= sh.Count {
+		s.shardID = sh.ID
+		s.idStride = int64(sh.Count)
+		s.nextID = int64(sh.ID)
 	}
 	s.ingest = obs.NewIngestMetrics(s.registry)
 	s.ingest.Watermark.Set(int64(s.watermark))
@@ -223,12 +174,21 @@ func newServer(planner *core.Planner, scheduler sched.Scheduler, cfg sim.Config,
 	s.engine.SetTracer(obs.NewTracer(s.ring, obs.NewSimMetrics(s.registry)))
 	s.lat = obs.NewLatencyMetrics(s.registry)
 	var spanOut obs.Sink
-	if s.spanSink != nil {
-		s.spanAsync = obs.NewAsyncSink(s.spanSink, spanSinkDepth, s.lat.SpansDropped)
+	if cfg.SpanSink != nil {
+		s.spanAsync = obs.NewAsyncSink(cfg.SpanSink, spanSinkDepth, s.lat.SpansDropped)
 		spanOut = s.spanAsync
 	}
 	s.spans = obs.NewSpanRecorder(spanOut, s.lat)
 	return s
+}
+
+// abort releases what newServer started when construction fails
+// before start: the async span sink's drain goroutine, after flushing
+// the inner sink.
+func (s *Server) abort() {
+	if s.spanAsync != nil {
+		_ = s.spanAsync.Close()
+	}
 }
 
 // start launches the state loop. Call exactly once, after any recovery.

@@ -59,9 +59,11 @@ func TestServerSpanPipeline(t *testing.T) {
 	}
 	planner := core.NewPlanner(migration.NewPlanner(net1, 0), core.FailSkip)
 	var spanOut syncBuffer
-	srv := NewServer(planner, sched.NewLMTF(4, 99),
-		sim.Config{InstallTime: time.Millisecond, Probes: 2},
-		WithSpanSink(obs.NewJSONLSink(&spanOut)))
+	srv := mustNew(t, Config{
+		Planner: planner, Scheduler: sched.NewLMTF(4, 99),
+		Sim:      sim.Config{InstallTime: time.Millisecond, Probes: 2},
+		SpanSink: obs.NewJSONLSink(&spanOut),
+	})
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -28,7 +28,6 @@ import (
 	"netupdate/internal/metrics"
 	"netupdate/internal/obs"
 	"netupdate/internal/repl"
-	"netupdate/internal/sched"
 	"netupdate/internal/sim"
 	"netupdate/internal/snapshot"
 	"netupdate/internal/topology"
@@ -75,7 +74,7 @@ type WALConfig struct {
 	followerBoot bool
 }
 
-// RecoveryInfo reports what NewServerWithWAL rebuilt.
+// RecoveryInfo reports what WAL recovery rebuilt.
 type RecoveryInfo struct {
 	// Recovered is true when any state was restored (checkpoint or
 	// replayed records).
@@ -170,33 +169,12 @@ type checkpointDoc struct {
 	RNG     rngState           `json:"rng"`
 }
 
-// NewServerWithWAL builds a server attached to a write-ahead log,
-// recovering any recorded history before the state loop starts: the
-// checkpoint (if any) is thawed into the planner's network and engine,
-// the log suffix is replayed through the same admission path live
-// requests take, and only then does the server begin serving.
-//
-// When cfg.Log holds no checkpoint, the planner's network must be in
-// the same genesis state the original run started from (same topology,
-// same background fill) — the replay folds the full log against it.
-//
-// Deprecated: use New with Config.WAL set; this remains as a thin
-// wrapper for existing callers.
-func NewServerWithWAL(planner *core.Planner, scheduler sched.Scheduler, simCfg sim.Config, cfg WALConfig, opts ...ServerOption) (*Server, *RecoveryInfo, error) {
-	s := newServer(planner, scheduler, simCfg, opts...)
-	info, err := s.initWAL(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.start()
-	return s, info, nil
-}
-
 // initWAL attaches an opened log to a not-yet-started server and
-// recovers its history; shared by NewServerWithWAL and NewFollower. On
-// success the server carries a replication hub (leader role by
-// default; NewFollower flips it before start).
-func (s *Server) initWAL(cfg WALConfig) (*RecoveryInfo, error) {
+// recovers its history; shared by New and NewFollower. On success the
+// server carries a replication hub (leader role by default; NewFollower
+// flips it before start). The writer is opened last, so a failure
+// leaves no writer open and, on an empty log, no segment file behind.
+func (s *Server) initWAL(cfg WALConfig, rc ReplicationConfig) (*RecoveryInfo, error) {
 	if cfg.Log == nil {
 		return nil, fmt.Errorf("ctl: WALConfig.Log is nil")
 	}
@@ -279,6 +257,14 @@ func (s *Server) initWAL(cfg WALConfig) (*RecoveryInfo, error) {
 	// continuous world, not zeros.
 	s.refreshGauges()
 
+	// Every WAL-backed server carries the replication hub: it accepts
+	// follower sessions (up to its configured cap) and its persisted
+	// term fences split-brain after a promotion elsewhere.
+	term, err := repl.LoadTerm(cfg.Log.Dir())
+	if err != nil {
+		return nil, err
+	}
+
 	w, err := cfg.Log.OpenWriter(meta,
 		wal.ID{VT: int64(s.engine.Clock()), Seq: cfg.Log.LastSeq()}, s.engine.Rounds())
 	if err != nil {
@@ -292,17 +278,6 @@ func (s *Server) initWAL(cfg WALConfig) (*RecoveryInfo, error) {
 	info.Elapsed = time.Since(started)
 	s.walMet.RecoveryMs.Set(info.Elapsed.Milliseconds())
 
-	// Every WAL-backed server carries the replication hub: it accepts
-	// follower sessions (up to its configured cap) and its persisted
-	// term fences split-brain after a promotion elsewhere.
-	term, err := repl.LoadTerm(cfg.Log.Dir())
-	if err != nil {
-		return nil, err
-	}
-	rc := ReplicationConfig{}
-	if s.replCfg != nil {
-		rc = *s.replCfg
-	}
 	s.repl = newReplState(s, term, rc)
 	s.repl.wg.Add(1)
 	go s.replHeartbeats()

@@ -1,20 +1,14 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 
-	"netupdate/internal/core"
 	"netupdate/internal/ctl"
-	"netupdate/internal/migration"
-	"netupdate/internal/netstate"
-	"netupdate/internal/routing"
-	"netupdate/internal/sched"
-	"netupdate/internal/sim"
 	"netupdate/internal/topology"
-	"netupdate/internal/trace"
 	"netupdate/internal/wal"
+	"netupdate/internal/world"
 )
 
 // WorldConfig describes the cluster every shard world is a slice of:
@@ -72,24 +66,11 @@ type Cluster struct {
 // With Shards == 1 the single world is byte-for-byte the unsharded
 // daemon's (full core capacity, full fill).
 func NewCluster(cfg WorldConfig) (*Cluster, error) {
-	if cfg.K < 4 {
-		return nil, fmt.Errorf("shard: fat-tree arity %d too small", cfg.K)
-	}
-	ref, err := topology.NewFatTree(cfg.K, topology.Gbps)
-	if err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	part, err := NewPartition(ref, cfg.Shards)
+	ref, part, frac, err := layout(cfg.K, cfg.Shards, cfg.CrossPoolFrac)
 	if err != nil {
 		return nil, err
 	}
-	frac, err := ResolveCrossPoolFrac(cfg.Shards, cfg.CrossPoolFrac)
-	if err != nil {
-		return nil, err
-	}
-	cross := CrossPoolFor(ref, part, frac)
-
-	cl := &Cluster{Part: part, Ref: ref, Cross: cross}
+	cl := &Cluster{Part: part, Ref: ref, Cross: CrossPoolFor(ref, part, frac)}
 	for id := 1; id <= cfg.Shards; id++ {
 		w, err := newWorld(cfg, part, id, frac)
 		if err != nil {
@@ -109,31 +90,57 @@ func NewCluster(cfg WorldConfig) (*Cluster, error) {
 // binding under cfg.WALDir/shard-<id> — so a gateway fronting N such
 // engines behaves like the in-process cluster.
 func NewShardWorld(cfg WorldConfig, id int) (*World, error) {
-	if cfg.K < 4 {
-		return nil, fmt.Errorf("shard: fat-tree arity %d too small", cfg.K)
-	}
 	if id < 1 || id > cfg.Shards {
 		return nil, fmt.Errorf("shard: slot %d outside 1..%d", id, cfg.Shards)
 	}
-	ref, err := topology.NewFatTree(cfg.K, topology.Gbps)
-	if err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
-	}
-	part, err := NewPartition(ref, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	frac, err := ResolveCrossPoolFrac(cfg.Shards, cfg.CrossPoolFrac)
+	_, part, frac, err := layout(cfg.K, cfg.Shards, cfg.CrossPoolFrac)
 	if err != nil {
 		return nil, err
 	}
 	return newWorld(cfg, part, id, frac)
 }
 
+// NewRemoteGateway fronts already-running shard engines of a k-ary
+// fat-tree partition, backends[i] being shard i+1, with cross-shard
+// ledgers sized as NewCluster sizes them for crossPoolFrac.
+func NewRemoteGateway(k int, crossPoolFrac float64, backends []ctl.Backend) (*Gateway, error) {
+	ref, part, frac, err := layout(k, len(backends), crossPoolFrac)
+	if err != nil {
+		return nil, err
+	}
+	return NewGateway(part, ref.Graph(), CrossPoolFor(ref, part, frac), backends)
+}
+
+// layout is what every member of a sharded deployment derives from its
+// flags alike: the full-capacity reference fat-tree, its partition over
+// shards, and the resolved cross-pool fraction.
+func layout(k, shards int, crossPoolFrac float64) (*topology.FatTree, *Partition, float64, error) {
+	if k < 4 {
+		return nil, nil, 0, fmt.Errorf("shard: fat-tree arity %d too small", k)
+	}
+	ref, err := topology.NewFatTree(k, topology.Gbps)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("shard: %w", err)
+	}
+	part, err := NewPartition(ref, shards)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	frac, err := ResolveCrossPoolFrac(shards, crossPoolFrac)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return ref, part, frac, nil
+}
+
 // ResolveCrossPoolFrac applies the cross-pool defaults: <= 0 selects
 // DefaultCrossPoolFrac, >= 1 is rejected (no shard capacity left), and
-// a single shard has no cross traffic so the pool is forced empty.
+// a single shard has no cross traffic so the pool is forced empty. A
+// fraction that is not a finite number is rejected.
 func ResolveCrossPoolFrac(shards int, frac float64) (float64, error) {
+	if math.IsNaN(frac) || math.IsInf(frac, 0) {
+		return 0, fmt.Errorf("shard: cross pool fraction %v is not a finite number", frac)
+	}
 	if frac <= 0 {
 		frac = DefaultCrossPoolFrac
 	}
@@ -162,15 +169,19 @@ func CrossPoolFor(ref *topology.FatTree, part *Partition, frac float64) *CrossAd
 }
 
 func newWorld(cfg WorldConfig, part *Partition, id int, frac float64) (*World, error) {
-	scheduler, err := sched.New(cfg.Scheduler, sched.WithAlpha(cfg.Alpha), sched.WithSeed(cfg.Seed))
+	wcfg := world.Config{
+		K: cfg.K, Util: cfg.Util, Seed: cfg.Seed, Tables: world.NoTables,
+		Scheduler: cfg.Scheduler, Alpha: cfg.Alpha, Watermark: cfg.Watermark,
+	}
+	scheduler, err := wcfg.NewScheduler()
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", id, err)
 	}
-	ft, err := topology.NewFatTree(cfg.K, topology.Gbps)
+	w, err := world.Fabric(wcfg)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", id, err)
 	}
-	g := ft.Graph()
+	g := w.FT.Graph()
 	if cfg.Shards > 1 {
 		// This world's core slice: equal share of what the cross pool
 		// leaves behind.
@@ -185,7 +196,6 @@ func newWorld(cfg WorldConfig, part *Partition, id int, frac float64) (*World, e
 			}
 		}
 	}
-	net := netstate.New(g, routing.NewFatTreeProvider(ft), routing.NewRandomFit(cfg.Seed+7))
 
 	// Open the WAL before filling: a checkpoint restores its own flows.
 	var walLog *wal.Log
@@ -203,49 +213,26 @@ func newWorld(cfg WorldConfig, part *Partition, id int, frac float64) (*World, e
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: wal: %w", id, err)
 		}
-		walCfg = &ctl.WALConfig{
-			Log: walLog,
-			Meta: &wal.Meta{
-				Format:    wal.FormatVersion,
-				Scheduler: scheduler.Name(),
-				Seed:      cfg.Seed,
-				K:         cfg.K,
-				Util:      cfg.Util,
-				Watermark: cfg.Watermark,
-				Shard:     id,
-				Shards:    cfg.Shards,
-			},
-			CheckpointEvery: cfg.CheckpointEvery,
-		}
+		walCfg = &ctl.WALConfig{Log: walLog, Meta: wcfg.Meta(scheduler), CheckpointEvery: cfg.CheckpointEvery}
 	}
 
+	// Fill only this shard's pods, toward this shard's proportional
+	// share of the cluster-wide utilization target.
 	pods := part.PodsOf(id)
-	restoring := walLog != nil && walLog.Checkpoint() != nil
-	if cfg.Util > 0 && !restoring {
-		var hosts []topology.NodeID
-		for _, h := range ft.Hosts() {
-			if part.OfPod(ft.PodOf(h)) == id {
-				hosts = append(hosts, h)
-			}
-		}
-		// Fill only this shard's pods, toward this shard's proportional
-		// share of the cluster-wide utilization target; with a fraction
-		// of the hosts the target may be unreachable, which is fine.
-		gen, err := trace.NewGenerator(cfg.Seed+int64(id-1), trace.YahooLike{}, hosts)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", id, err)
-		}
-		target := cfg.Util * float64(len(pods)) / float64(ft.NumPods())
-		if _, err := trace.FillBackground(net, gen, target, 0); err != nil && !errors.Is(err, trace.ErrTargetUnreachable) {
-			return nil, fmt.Errorf("shard %d: background: %w", id, err)
+	var hosts []topology.NodeID
+	for _, h := range w.FT.Hosts() {
+		if part.OfPod(w.FT.PodOf(h)) == id {
+			hosts = append(hosts, h)
 		}
 	}
+	target := cfg.Util * float64(len(pods)) / float64(w.FT.NumPods())
+	if err := w.Fill(cfg.Seed+int64(id-1), hosts, target, walLog); err != nil {
+		return nil, fmt.Errorf("shard %d: %w", id, err)
+	}
 
-	planner := core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip)
 	srv, _, err := ctl.New(ctl.Config{
-		Planner:   planner,
+		Planner:   w.Planner,
 		Scheduler: scheduler,
-		Sim:       sim.Config{},
 		Watermark: cfg.Watermark,
 		Shard:     ctl.ShardIdentity{ID: id, Count: cfg.Shards},
 		WAL:       walCfg,
@@ -253,7 +240,7 @@ func newWorld(cfg WorldConfig, part *Partition, id int, frac float64) (*World, e
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", id, err)
 	}
-	return &World{ID: id, Pods: pods, Server: srv, FT: ft}, nil
+	return &World{ID: id, Pods: pods, Server: srv, FT: w.FT}, nil
 }
 
 // Backends returns the worlds' engines as the unified Backend surface,

@@ -5,20 +5,36 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"testing"
 
 	"netupdate/internal/ctl"
+	"netupdate/internal/rules"
 	"netupdate/internal/shard"
 	"netupdate/internal/snapshot"
+	"netupdate/internal/world"
 )
 
 // goldenFile pins the SHA-256 of the snapshot JSON of every world the
 // daemons build before their first event, one "<digest>  <name>" line
 // per world.
 const goldenFile = "testdata/worlds.golden"
+
+var update = flag.Bool("update", false, "rewrite "+goldenFile+" from the current code")
+
+// builtWorlds are the single-engine goldens: the worlds cmd/updated and
+// cmd/loadgen's selfhost controller build from their flags.
+var builtWorlds = map[string]world.Config{
+	"updated/k4-u0.3-s1":           {K: 4, Util: 0.3, Seed: 1, Tables: world.NoTables},
+	"updated/k4-u0.5-s7-tables256": {K: 4, Util: 0.5, Seed: 7, Tables: 256},
+	"loadgen/k4-u0.3-s1":           {K: 4, Util: 0.3, Seed: 1, Tables: world.NoTables},
+	"loadgen/k4-u0.5-s7":           {K: 4, Util: 0.5, Seed: 7, Tables: world.NoTables},
+}
 
 func readGoldens(t *testing.T) map[string]string {
 	t.Helper()
@@ -89,12 +105,64 @@ func shardDigests(t *testing.T) map[string]string {
 }
 
 // TestWorldGoldens rebuilds every pinned world and requires its digest
-// to match the golden byte for byte.
+// to match the golden byte for byte. With -update it rewrites the
+// goldens instead.
 func TestWorldGoldens(t *testing.T) {
-	want := readGoldens(t)
-	for name, got := range shardDigests(t) {
-		if want[name] != got {
-			t.Errorf("%s: digest %s, want %s", name, got, want[name])
+	got := shardDigests(t)
+	for name, cfg := range builtWorlds {
+		w, err := world.Build(cfg, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		got[name] = digest(t, snapshot.Capture(w.Net))
+	}
+	if *update {
+		names := make([]string, 0, len(got))
+		for name := range got {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		var b strings.Builder
+		for _, name := range names {
+			fmt.Fprintf(&b, "%s  %s\n", got[name], name)
+		}
+		if err := os.WriteFile(goldenFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want := readGoldens(t)
+	if len(want) != len(got) {
+		t.Errorf("%d goldens, rebuilt %d worlds", len(want), len(got))
+	}
+	for name, sum := range got {
+		if want[name] != sum {
+			t.Errorf("%s: digest %s, want %s", name, sum, want[name])
+		}
+	}
+}
+
+// TestBuildRefusesOverfullTables: a fill that overflows the attached
+// rule tables is an error, not a silently thinner world.
+func TestBuildRefusesOverfullTables(t *testing.T) {
+	_, err := world.Build(world.Config{K: 4, Util: 0.5, Seed: 7, Tables: 8}, nil)
+	if !errors.Is(err, rules.ErrTableFull) {
+		t.Fatalf("Build with 8-entry tables = %v, want rules.ErrTableFull", err)
+	}
+}
+
+// TestMetaRecordsNoTablesOnce: every way of asking for no tables is
+// recorded as NoTables, so logs agree whichever negative value a daemon
+// was configured with.
+func TestMetaRecordsNoTablesOnce(t *testing.T) {
+	cfg := world.Config{K: 4, Util: 0.3, Seed: 1, Tables: world.NoTables, Scheduler: "p-lmtf", Alpha: 4}
+	s, err := cfg.NewScheduler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cfg.Meta(s)
+	cfg.Tables = -5
+	if got := cfg.Meta(s); *got != *want || got.Tables != world.NoTables {
+		t.Errorf("meta with Tables -5 = %+v, want %+v", *got, *want)
 	}
 }
