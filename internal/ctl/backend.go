@@ -8,12 +8,12 @@ import (
 )
 
 // Backend is the one control-plane surface: everything a caller can ask
-// a controller to do, independent of whether the controller is an
-// in-process engine (*Server), a remote one over TCP (*Client), or a
-// shard-routing gateway fronting several. updatectl, loadgen, and the
-// gateway's fan-out all program against this interface, so an engine
-// reached directly and one reached through the gateway cannot drift in
-// semantics.
+// a controller to do, whether the controller is an in-process engine
+// (*Server) or a remote one over TCP (*Client, which may be talking to
+// an engine or to a shard gateway). updatectl, loadgen, and the
+// gateway's fan-out program against this interface. The gateway itself
+// (shard.Gateway) is not a Backend: it implements only a
+// WireServer.Handle function over a set of Backends, one per shard.
 //
 // Typed methods map refusals to the protocol's typed errors
 // (OverloadError, NotLeaderError). Do is the raw escape hatch: it
@@ -97,7 +97,7 @@ func (s *Server) Status(eventID int64) (EventStatus, error) {
 	return *resp.Status, nil
 }
 
-// Results lists all completed events in completion order.
+// Results lists all completed events in admission order.
 func (s *Server) Results() ([]EventStatus, error) {
 	resp := s.dispatch(Request{Op: OpResults})
 	if err := respError(OpResults, &resp); err != nil {

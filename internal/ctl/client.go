@@ -361,7 +361,7 @@ func (c *Client) Status(eventID int64) (EventStatus, error) {
 	return *resp.Status, nil
 }
 
-// Results lists all completed events in completion order.
+// Results lists all completed events in admission order.
 func (c *Client) Results() ([]EventStatus, error) {
 	resp, err := c.roundTrip(Request{Op: OpResults})
 	if err != nil {

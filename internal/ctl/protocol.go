@@ -17,6 +17,7 @@ import (
 
 	"netupdate/internal/obs"
 	"netupdate/internal/snapshot"
+	"netupdate/internal/wal"
 )
 
 // Op names a protocol operation.
@@ -70,13 +71,10 @@ var knownOps = map[Op]bool{
 }
 
 // FlowSpec is one flow of a submitted event. Host indices refer to the
-// server's topology (NodeIDs of hosts).
-type FlowSpec struct {
-	Src       int   `json:"src"`
-	Dst       int   `json:"dst"`
-	DemandBps int64 `json:"demand_bps"`
-	SizeBytes int64 `json:"size_bytes,omitempty"`
-}
+// server's topology (NodeIDs of hosts). It is the logged flow type
+// itself, so an admitted event's WAL record carries the request's flows
+// without a copy.
+type FlowSpec = wal.FlowSpec
 
 // EventSpec is a submitted update event.
 type EventSpec struct {

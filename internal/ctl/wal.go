@@ -434,19 +434,12 @@ func (s *Server) buildCheckpoint() *checkpointDoc {
 		},
 	}
 	for _, ev := range s.engine.QueueEvents() {
-		qe := queuedEvent{
+		doc.Queue = append(doc.Queue, queuedEvent{
 			ID:        int64(ev.ID),
 			Kind:      ev.Kind,
 			ArrivalNs: int64(ev.Arrival),
-			Flows:     make([]wal.FlowSpec, len(ev.Specs)),
-		}
-		for i, sp := range ev.Specs {
-			qe.Flows[i] = wal.FlowSpec{
-				Src: int(sp.Src), Dst: int(sp.Dst),
-				DemandBps: int64(sp.Demand), SizeBytes: sp.Size,
-			}
-		}
-		doc.Queue = append(doc.Queue, qe)
+			Flows:     walFlows(ev.Specs),
+		})
 	}
 	if rc, ok := s.sched.(rngCarrier); ok {
 		doc.RNG.Scheduler = rc.RNGDraws()
@@ -488,16 +481,7 @@ func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 	s.order = append(s.order[:0], doc.Order...)
 	queueEvs := make([]*core.Event, len(doc.Queue))
 	for i, qe := range doc.Queue {
-		specs := make([]flow.Spec, len(qe.Flows))
-		for j, f := range qe.Flows {
-			specs[j] = flow.Spec{
-				Src:    topology.NodeID(f.Src),
-				Dst:    topology.NodeID(f.Dst),
-				Demand: topology.Bandwidth(f.DemandBps),
-				Size:   f.SizeBytes,
-			}
-		}
-		ev := core.NewEvent(flow.EventID(qe.ID), qe.Kind, time.Duration(qe.ArrivalNs), specs)
+		ev := core.NewEvent(flow.EventID(qe.ID), qe.Kind, time.Duration(qe.ArrivalNs), flowSpecs(qe.Flows))
 		queueEvs[i] = ev
 		s.events[qe.ID] = ev
 	}
@@ -570,9 +554,10 @@ func (s *Server) refreshGauges() {
 	met.SetProbeDetail(int64(col.ProbeCold), int64(col.ProbeIncremental))
 }
 
-// replayRecord re-admits one log record during recovery: step the
-// engine to the record's round stamp, check the logical clock, and take
-// the same admission path a live request would — the fold that defines
+// replayRecord re-admits one log record during recovery and the
+// follower fold: step the engine to the record's round stamp, check the
+// logical clock, and apply the record through applyEvent/applyFault —
+// the functions live admission applies it with, so the fold defines
 // what the state must be.
 func (s *Server) replayRecord(rec *wal.Record) error {
 	if err := s.stepTo(rec.Rounds); err != nil {
@@ -584,54 +569,19 @@ func (s *Server) replayRecord(rec *wal.Record) error {
 	}
 	switch rec.Type {
 	case wal.TypeEvent:
-		e := rec.Event
-		if e.EventID != s.nextID {
+		if id := rec.Event.EventID; id != s.nextID {
 			return fmt.Errorf("%w: record seq %d admits event %d, expected %d",
-				ErrReplayDiverged, rec.ID.Seq, e.EventID, s.nextID)
+				ErrReplayDiverged, rec.ID.Seq, id, s.nextID)
 		}
-		specs := make([]flow.Spec, len(e.Flows))
-		for i, f := range e.Flows {
-			specs[i] = flow.Spec{
-				Src:    topology.NodeID(f.Src),
-				Dst:    topology.NodeID(f.Dst),
-				Demand: topology.Bandwidth(f.DemandBps),
-				Size:   f.SizeBytes,
-			}
-		}
-		ev := core.NewEvent(flow.EventID(e.EventID), e.Kind, s.engine.Clock(), specs)
-		s.events[e.EventID] = ev
-		s.order = append(s.order, e.EventID)
-		s.engine.Enqueue(ev)
-		s.nextID += s.idStride
-		s.ingest.Accepted.Inc()
-		if e.Retry {
-			s.ingest.Retried.Inc()
-		}
-		if e.BatchSize > 0 {
-			s.ingest.Batches.Inc()
-			s.ingest.BatchSize.Observe(int64(e.BatchSize))
-		}
+		s.engine.Enqueue(s.applyEvent(rec.Event))
 		return nil
 
 	case wal.TypeFault:
 		f := rec.Fault
-		out, err := s.engine.InjectFault(fault.Injection{
-			At:     s.engine.Clock(),
-			Action: fault.Action(f.Action),
-			Link:   f.Link,
-			Node:   f.Node,
-			Event:  f.Event,
-			Times:  f.Times,
-		})
+		_, repairID, err := s.applyFault(f)
 		if err != nil {
 			return fmt.Errorf("%w: record seq %d fault %q failed: %v",
 				ErrReplayDiverged, rec.ID.Seq, f.Action, err)
-		}
-		var repairID int64
-		if ev := out.RepairEvent; ev != nil {
-			repairID = int64(ev.ID)
-			s.events[repairID] = ev
-			s.order = append(s.order, repairID)
 		}
 		if repairID != f.RepairEventID {
 			return fmt.Errorf("%w: record seq %d fault minted repair event %d, log recorded %d",
@@ -643,6 +593,77 @@ func (s *Server) replayRecord(rec *wal.Record) error {
 		return fmt.Errorf("%w: record seq %d has unexpected type %d",
 			ErrReplayDiverged, rec.ID.Seq, rec.Type)
 	}
+}
+
+// applyEvent admits one event record at the current virtual clock. It
+// is the only code that turns a record into an event — live submission,
+// WAL recovery and the follower fold all go through it: it registers
+// the event, advances the ID lattice and counts the ingest counters.
+// The caller enqueues the returned event.
+func (s *Server) applyEvent(rec *wal.EventRecord) *core.Event {
+	ev := core.NewEvent(flow.EventID(rec.EventID), rec.Kind, s.engine.Clock(), flowSpecs(rec.Flows))
+	s.events[rec.EventID] = ev
+	s.order = append(s.order, rec.EventID)
+	s.nextID += s.idStride
+	s.ingest.Accepted.Inc()
+	if rec.Retry {
+		s.ingest.Retried.Inc()
+	}
+	if rec.BatchSize > 0 {
+		s.ingest.Batches.Inc()
+		s.ingest.BatchSize.Observe(int64(rec.BatchSize))
+	}
+	return ev
+}
+
+// applyFault injects one fault record at the current virtual clock —
+// the only code that applies a fault, for the OpFault handler, WAL
+// recovery and the follower fold alike. A minted repair event joins the
+// event table so status/results report its recovery like any submitted
+// event; its ID (0 when none) is returned for the record.
+func (s *Server) applyFault(f *wal.FaultRecord) (*sim.FaultOutcome, int64, error) {
+	out, err := s.engine.InjectFault(fault.Injection{
+		At:     s.engine.Clock(),
+		Action: fault.Action(f.Action),
+		Link:   f.Link,
+		Node:   f.Node,
+		Event:  f.Event,
+		Times:  f.Times,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	ev := out.RepairEvent
+	if ev == nil {
+		return out, 0, nil
+	}
+	id := int64(ev.ID)
+	s.events[id] = ev
+	s.order = append(s.order, id)
+	return out, id, nil
+}
+
+// flowSpecs converts logged flows into engine flow specs.
+func flowSpecs(fs []wal.FlowSpec) []flow.Spec {
+	specs := make([]flow.Spec, len(fs))
+	for i, f := range fs {
+		specs[i] = flow.Spec{
+			Src:    topology.NodeID(f.Src),
+			Dst:    topology.NodeID(f.Dst),
+			Demand: topology.Bandwidth(f.DemandBps),
+			Size:   f.SizeBytes,
+		}
+	}
+	return specs
+}
+
+// walFlows converts engine flow specs back into logged flows.
+func walFlows(specs []flow.Spec) []wal.FlowSpec {
+	fs := make([]wal.FlowSpec, len(specs))
+	for i, sp := range specs {
+		fs[i] = wal.FlowSpec{Src: int(sp.Src), Dst: int(sp.Dst), DemandBps: int64(sp.Demand), SizeBytes: sp.Size}
+	}
+	return fs
 }
 
 // stepTo runs scheduling rounds until the engine reaches the target

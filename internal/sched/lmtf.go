@@ -71,11 +71,8 @@ func (s *LMTF) RestoreRNG(draws int64) { s.src.Restore(draws) }
 func (s *LMTF) Name() string { return fmt.Sprintf("lmtf(a=%d)", s.Alpha) }
 
 // SetProbes implements CostProber: n is the maximum number of concurrent
-// cost probes (0 = GOMAXPROCS, 1 = serial probing).
-//
-// Deprecated: prefer constructing with sched.New(name, WithProbes(n)).
-// The method remains because the simulator retunes concurrency from
-// sim.Config after construction.
+// cost probes (0 = GOMAXPROCS, 1 = serial probing). The simulator sets
+// it from sim.Config after construction.
 func (s *LMTF) SetProbes(n int) {
 	if s.probes == n {
 		return
@@ -84,11 +81,8 @@ func (s *LMTF) SetProbes(n int) {
 	s.eng = nil // rebuilt with the new width on next Pick
 }
 
-// SetRecordProbes implements ProbeRecorder.
-//
-// Deprecated: prefer constructing with sched.New(name,
-// WithRecordProbes()). The method remains because the simulator flips
-// recording when a tracer is attached after construction.
+// SetRecordProbes implements ProbeRecorder. The simulator flips
+// recording when a tracer is attached.
 func (s *LMTF) SetRecordProbes(on bool) { s.record = on }
 
 // ProbeEngine implements CostProber, returning the engine bound to the

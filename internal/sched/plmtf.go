@@ -55,23 +55,14 @@ func (s *PLMTF) RestoreRNG(draws int64) { s.inner.RestoreRNG(draws) }
 // SetScanAll makes the scheduler offer every queued event for
 // opportunistic co-scheduling instead of only the sampled candidates.
 // The executor probes each offered event, so this multiplies planning
-// work by the queue length — the overhead the paper's design avoids.
-//
-// Deprecated: prefer constructing with sched.New("p-lmtf", WithScanAll()).
+// work by the queue length — the overhead the paper's design avoids;
+// kept for ablations.
 func (s *PLMTF) SetScanAll(all bool) { s.scanAll = all }
 
 // SetProbes implements CostProber, delegating to the inner LMTF.
-//
-// Deprecated: prefer constructing with sched.New(name, WithProbes(n)).
-// The method remains because the simulator retunes concurrency from
-// sim.Config after construction.
 func (s *PLMTF) SetProbes(n int) { s.inner.SetProbes(n) }
 
 // SetRecordProbes implements ProbeRecorder, delegating to the inner LMTF.
-//
-// Deprecated: prefer constructing with sched.New(name,
-// WithRecordProbes()). The method remains because the simulator flips
-// recording when a tracer is attached after construction.
 func (s *PLMTF) SetRecordProbes(on bool) { s.inner.SetRecordProbes(on) }
 
 // ProbeEngine implements CostProber, delegating to the inner LMTF so both

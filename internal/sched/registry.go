@@ -6,19 +6,14 @@ import (
 	"sync"
 )
 
-// Option configures a scheduler at construction time. Options that do
-// not apply to the chosen policy (e.g. WithScanAll on FIFO) are ignored,
-// so callers can thread one option set through a policy flag.
+// Option configures a scheduler at construction time.
 type Option func(*config)
 
 // config collects the construction-time knobs the registry's builders
 // consult.
 type config struct {
-	alpha        int
-	seed         int64
-	probes       int
-	recordProbes bool
-	scanAll      bool
+	alpha int
+	seed  int64
 }
 
 // WithAlpha sets the LMTF/P-LMTF sample size (0 means DefaultAlpha).
@@ -26,21 +21,6 @@ func WithAlpha(alpha int) Option { return func(c *config) { c.alpha = alpha } }
 
 // WithSeed sets the sampling RNG seed (default 1).
 func WithSeed(seed int64) Option { return func(c *config) { c.seed = seed } }
-
-// WithProbes sets the cost-probe concurrency (0 = GOMAXPROCS,
-// 1 = serial). It replaces the post-construction SetProbes mutator.
-func WithProbes(n int) Option { return func(c *config) { c.probes = n } }
-
-// WithRecordProbes enables per-candidate probe reporting in
-// Decision.Probes from the first round. It replaces the
-// post-construction SetRecordProbes mutator.
-func WithRecordProbes() Option { return func(c *config) { c.recordProbes = true } }
-
-// WithScanAll makes P-LMTF offer the entire queue (not just the sampled
-// candidates) for co-scheduling — the costlier alternative Section IV-C
-// rejects, kept for ablations. It replaces the post-construction
-// SetScanAll mutator and is ignored by other policies.
-func WithScanAll() Option { return func(c *config) { c.scanAll = true } }
 
 // UnknownSchedulerError is returned by New for a name no builder is
 // registered under. It lists the registered names so callers (CLIs, the
@@ -55,10 +35,11 @@ func (e *UnknownSchedulerError) Error() string {
 	return fmt.Sprintf("sched: unknown scheduler %q (registered: %v)", e.Name, e.Registered)
 }
 
-// Builder constructs a scheduler from the resolved option set. The
-// registry applies the cross-cutting knobs (probes, probe recording)
-// through the CostProber/ProbeRecorder interfaces after the builder
-// returns, so builders only consume policy-specific fields.
+// Builder constructs a scheduler from the resolved option set. Probe
+// concurrency and probe recording are not construction options: the
+// simulator sets them through the CostProber/ProbeRecorder interfaces
+// (sim.NewEngine, Engine.SetTracer), so builders only consume
+// policy-specific fields.
 type Builder func(alpha int, seed int64) Scheduler
 
 var (
@@ -110,15 +91,5 @@ func New(name string, opts ...Option) (Scheduler, error) {
 	if !ok {
 		return nil, &UnknownSchedulerError{Name: name, Registered: Names()}
 	}
-	s := b(c.alpha, c.seed)
-	if cp, isCP := s.(CostProber); isCP && c.probes != 0 {
-		cp.SetProbes(c.probes)
-	}
-	if pr, isPR := s.(ProbeRecorder); isPR && c.recordProbes {
-		pr.SetRecordProbes(true)
-	}
-	if p, isP := s.(*PLMTF); isP && c.scanAll {
-		p.SetScanAll(true)
-	}
-	return s, nil
+	return b(c.alpha, c.seed), nil
 }

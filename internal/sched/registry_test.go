@@ -67,34 +67,21 @@ func TestNewUnknownScheduler(t *testing.T) {
 }
 
 func TestNewOptions(t *testing.T) {
-	s, err := New("lmtf", WithAlpha(7), WithSeed(3), WithProbes(1), WithRecordProbes())
+	s, err := New("lmtf", WithAlpha(7), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := s.(*LMTF)
-	if l.Alpha != 7 {
-		t.Errorf("Alpha = %d, want 7", l.Alpha)
+	if got := s.(*LMTF).Alpha; got != 7 {
+		t.Errorf("Alpha = %d, want 7", got)
 	}
-	if l.probes != 1 {
-		t.Errorf("probes = %d, want 1", l.probes)
-	}
-	if !l.record {
-		t.Error("WithRecordProbes did not enable probe recording")
-	}
-
-	p, err := New("p-lmtf", WithAlpha(2), WithScanAll())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.(*PLMTF).scanAll {
-		t.Error("WithScanAll did not enable full-queue co-scheduling")
-	}
-	if got := p.Name(); !strings.Contains(got, "full") {
-		t.Errorf("scan-all scheduler Name() = %q, want the full variant", got)
+	// The seed drives sampling: same seed, same draws.
+	ref := NewLMTF(7, 3)
+	if s.(*LMTF).rng.Int63() != ref.rng.Int63() {
+		t.Error("WithSeed did not seed the sampling RNG")
 	}
 
 	// Options that do not apply to the policy are ignored, not fatal.
-	if _, err := New("fifo", WithScanAll(), WithProbes(4)); err != nil {
+	if _, err := New("fifo", WithAlpha(3), WithSeed(9)); err != nil {
 		t.Errorf("New(fifo, inapplicable options): %v", err)
 	}
 }

@@ -218,38 +218,17 @@ func decodeEventBody(body []byte) (*EventRecord, error) {
 	return ev, nil
 }
 
-// ReadFrame reads one frame from r. It returns io.EOF at a clean record
-// boundary and io.ErrUnexpectedEOF when the stream ends inside a frame
-// (a torn tail). A CRC mismatch or malformed record is ErrCorrupt.
-// On success the returned scratch slice is exactly the payload read, so
-// len(scratch) is the frame's payload length; pass it back in to reuse
-// the allocation.
+// ReadFrame reads and decodes one frame from r. It returns io.EOF at a
+// clean record boundary and io.ErrUnexpectedEOF when the stream ends
+// inside a frame (a torn tail). A CRC mismatch or malformed record is
+// ErrCorrupt. The returned scratch slice holds the whole frame read,
+// header and payload, so len(scratch) is the frame's size on disk; pass
+// it back in to reuse the allocation.
 func ReadFrame(r io.Reader, scratch []byte) (*Record, []byte, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, scratch, io.EOF
-		}
-		return nil, scratch, io.ErrUnexpectedEOF
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	want := binary.LittleEndian.Uint32(hdr[4:])
-	if n > maxFramePayload {
-		return nil, scratch, fmt.Errorf("%w: frame length %d exceeds cap %d", ErrCorrupt, n, maxFramePayload)
-	}
-	if cap(scratch) < int(n) {
-		scratch = make([]byte, n)
-	}
-	payload := scratch[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, scratch, io.ErrUnexpectedEOF
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, scratch, fmt.Errorf("%w: crc mismatch (stored %08x, computed %08x)", ErrCorrupt, want, got)
-	}
-	rec, err := DecodePayload(payload)
+	frame, err := readRawFrame(r, scratch)
 	if err != nil {
-		return nil, payload, err
+		return nil, frame, err
 	}
-	return rec, payload, nil
+	rec, err := DecodePayload(frame[frameHeaderSize:])
+	return rec, frame, err
 }

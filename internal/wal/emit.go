@@ -103,7 +103,8 @@ func emitSegment(seg *SegmentInfo, emitted *int64, upTo int64, fn func([]byte, *
 }
 
 // readRawFrame reads one whole frame — header and payload — into buf,
-// verifying the CRC. The same EOF conventions as ReadFrame apply.
+// verifying the CRC. It is the one frame reader: ReadFrame decodes what
+// it returns. The same EOF conventions as ReadFrame apply.
 func readRawFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if cap(buf) < frameHeaderSize {
 		buf = make([]byte, frameHeaderSize, 4096)

@@ -251,7 +251,7 @@ func scanSegment(seg *SegmentInfo, tolerateTail bool) error {
 			seg.LastSeq = rec.ID.Seq
 			seg.Records++
 		}
-		off += frameHeaderSize + int64(len(scratch))
+		off += int64(len(scratch))
 		seg.FrameEnds = append(seg.FrameEnds, off)
 	}
 	return nil
@@ -274,48 +274,30 @@ func readSegmentMeta(path string) (*Meta, error) {
 	return rec.Meta, nil
 }
 
-// Replay re-reads every segment in order and hands each event/fault
-// record with seq > afterSeq to fn, stopping on the first fn error.
-// Meta records are skipped (Open already validated them). The torn tail
-// of the last segment, if any, is ignored.
+// Replay re-reads the segments in order and hands each event/fault
+// record with seq > afterSeq to fn, stopping on the first fn error. It
+// walks the log with EmitFrames, the reader replication catch-up uses,
+// from afterSeq or the oldest retained segment's base, whichever is
+// later. Meta records are skipped (Open already validated them). The
+// torn tail of the last segment, if any, is ignored.
 func (l *Log) Replay(afterSeq int64, fn func(*Record) error) (ReplayInfo, error) {
 	info := ReplayInfo{LastSeq: l.lastSeq}
-	for i := range l.segments {
-		seg := &l.segments[i]
-		if seg.LastSeq <= afterSeq {
-			continue
-		}
-		if err := replaySegment(seg, afterSeq, fn, &info); err != nil {
-			return info, err
-		}
-		info.Truncated = info.Truncated || seg.Truncated
+	if len(l.segments) == 0 {
+		return info, nil
 	}
-	return info, nil
-}
-
-func replaySegment(seg *SegmentInfo, afterSeq int64, fn func(*Record) error, info *ReplayInfo) error {
-	f, err := os.Open(seg.Path)
-	if err != nil {
-		return err
+	info.Truncated = l.segments[len(l.segments)-1].Truncated
+	var fnErr error
+	err := EmitFrames(l.segments, max(afterSeq, l.segments[0].Base), l.lastSeq, func(_ []byte, rec *Record) error {
+		if fnErr = fn(rec); fnErr == nil {
+			info.Records++
+		}
+		return fnErr
+	})
+	if fnErr != nil {
+		// The callback's refusal goes back as is, not as a read fault.
+		return info, fnErr
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var scratch []byte
-	for n := 0; n < len(seg.FrameEnds); n++ {
-		var rec *Record
-		rec, scratch, err = ReadFrame(br, scratch)
-		if err != nil {
-			return fmt.Errorf("%s: %w", seg.Path, err)
-		}
-		if rec.Type == TypeMeta || rec.ID.Seq <= afterSeq {
-			continue
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-		info.Records++
-	}
-	return nil
+	return info, err
 }
 
 // TruncateTail physically truncates the newest segment to its last

@@ -363,6 +363,12 @@ func TestCheckpointRotateAndPurge(t *testing.T) {
 	if !reflect.DeepEqual(got, recs[6:]) {
 		t.Fatal("suffix replay after checkpoint differs")
 	}
+	// Replay(0) on a purged log (what updatectl wal verify asks for)
+	// starts at the oldest retained segment's base: exactly the suffix.
+	got, _ = replayAll(t, l2, 0)
+	if !reflect.DeepEqual(got, recs[6:]) {
+		t.Fatalf("Replay(0) after purge yielded %d records, want the %d after the checkpoint", len(got), len(recs[6:]))
+	}
 	if m := l2.Meta(); m == nil || *m != *testMeta() {
 		t.Fatalf("meta lost across rotation: %+v", m)
 	}
