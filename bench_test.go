@@ -12,6 +12,7 @@ import (
 
 	"netupdate/internal/core"
 	"netupdate/internal/experiments"
+	"netupdate/internal/flow"
 	"netupdate/internal/migration"
 	"netupdate/internal/netstate"
 	"netupdate/internal/obs"
@@ -333,6 +334,40 @@ func BenchmarkRegistryFlowsOn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = net.Registry().FlowsOn(busiest)
+	}
+}
+
+// BenchmarkNetworkSyncFrom measures a probe lane's resync after one
+// committed event: the live network admits a 10-40 flow event (with
+// migrations), then a lane that matched it before the commit is brought
+// back in sync. Between iterations (untimed) the event is rolled back
+// and the next one committed, so the live network stays at the same
+// load and each resync replays one rollback plus one commit. B/op and
+// allocs/op are exact; ns/op also includes pausing the timer, which
+// reads runtime.MemStats twice per iteration (~40 µs each on a 2-CPU
+// host).
+func BenchmarkNetworkSyncFrom(b *testing.B) {
+	net, _, gen := benchEnv(b, 0.6)
+	planner := core.NewPlanner(migration.NewPlanner(net, 0), core.FailSkip)
+	lane := net.Fork()
+	commit := func(id int) *core.ExecResult {
+		res, err := planner.Execute(gen.Event(flow.EventID(id), "bench", 0, 10, 40))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	res := commit(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lane.SyncFrom(net)
+		b.StopTimer()
+		if err := planner.RollbackExec(res); err != nil {
+			b.Fatal(err)
+		}
+		res = commit(i + 2)
+		b.StartTimer()
 	}
 }
 

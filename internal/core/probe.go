@@ -4,7 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -555,15 +555,6 @@ func (pe *ProbeEngine) ensureLanes(n int) []*forkLane {
 
 // dedupLinks sorts and deduplicates a touched-link list in place.
 func dedupLinks(links []topology.LinkID) []topology.LinkID {
-	if len(links) < 2 {
-		return links
-	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
-	out := links[:1]
-	for _, l := range links[1:] {
-		if l != out[len(out)-1] {
-			out = append(out, l)
-		}
-	}
-	return out
+	slices.Sort(links)
+	return slices.Compact(links)
 }

@@ -262,7 +262,8 @@ type Stats struct {
 	// Ingest telemetry: the intake bound and the cumulative submission
 	// outcomes (events accepted, events rejected for overload, events
 	// accepted from marked backoff retries, requests that admitted at
-	// least one event).
+	// least one event). Rejections are counted by this process only: they
+	// never reach the log, so recovery restarts the count at zero.
 	IngestWatermark int   `json:"ingest_watermark"`
 	IngestAccepted  int64 `json:"ingest_accepted"`
 	IngestRejected  int64 `json:"ingest_rejected"`

@@ -113,10 +113,15 @@ type rngState struct {
 	Selector  int64 `json:"selector,omitempty"`
 }
 
-// ingestState carries the ingest counters across a restart.
+// ingestState carries the ingest counters across a restart. Overload
+// refusals are not among them: a refused submission never reaches the
+// log, so a fold could not reproduce the count, and carrying it in
+// checkpoints only would make a checkpointed recovery disagree with a
+// genesis fold. The rejected counter is process-local, like the
+// wall-clock latency histograms. (Checkpoints that still hold
+// "rejected" decode; the field is ignored.)
 type ingestState struct {
 	Accepted  int64              `json:"accepted"`
-	Rejected  int64              `json:"rejected"`
 	Retried   int64              `json:"retried"`
 	Batches   int64              `json:"batches"`
 	BatchSize obs.HistogramState `json:"batch_size"`
@@ -411,7 +416,6 @@ func (s *Server) buildCheckpoint() *checkpointDoc {
 
 		Ingest: ingestState{
 			Accepted:  s.ingest.Accepted.Value(),
-			Rejected:  s.ingest.Rejected.Value(),
 			Retried:   s.ingest.Retried.Value(),
 			Batches:   s.ingest.Batches.Value(),
 			BatchSize: s.ingest.BatchSize.State(),
@@ -514,7 +518,6 @@ func (s *Server) restoreCheckpoint(ckpt *wal.Checkpoint) error {
 	col.InstallRollbacks = doc.InstallRollbacks
 
 	s.ingest.Accepted.Add(doc.Ingest.Accepted)
-	s.ingest.Rejected.Add(doc.Ingest.Rejected)
 	s.ingest.Retried.Add(doc.Ingest.Retried)
 	s.ingest.Batches.Add(doc.Ingest.Batches)
 	s.ingest.BatchSize.Restore(doc.Ingest.BatchSize)

@@ -1,9 +1,10 @@
 package flow
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"netupdate/internal/routing"
 	"netupdate/internal/topology"
@@ -29,7 +30,37 @@ type Registry struct {
 	flows map[ID]*Flow
 	// onLink indexes flows by every link of their placed path.
 	onLink map[topology.LinkID]map[ID]*Flow
+
+	// seq counts changes: every Add, Bind, Unbind and Remove bumps it by
+	// one, and so does a wholesale copy (Fork, or SyncFrom on a fork).
+	seq uint64
+	// journal is a ring of the flows touched by recent changes: the
+	// change minted at seq v sits at journal[(v-1)%journalCap]. It backs
+	// AppendChangesSince, which lets forks resync by replaying only the
+	// flows that changed. Allocated lazily on the first recorded change;
+	// never on forks, which churn at the hottest rate in the system and
+	// which nobody syncs from.
+	journal []ID
+	// journalLo is the smallest seq still retained in the ring.
+	journalLo uint64
+
+	// origin is the registry this fork was forked or last synced from
+	// (nil unless this is a fork), and syncSeq origin's seq then.
+	origin  *Registry
+	syncSeq uint64
+	// dirty holds the IDs of the flows this fork changed since then. It
+	// stops growing at journalCap entries, and a full set makes the next
+	// SyncFrom clone in full.
+	dirty map[ID]struct{}
+	// changes is SyncFrom's reused buffer for reading origin's journal.
+	changes []ID
 }
+
+// journalCap bounds the change journal and a fork's dirty set. A
+// scheduler round commits one event, changing a few dozen flows, so
+// 4096 changes of history is far more than the gap between resyncs;
+// a fork that falls further behind takes the full-clone path.
+const journalCap = 4096
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -54,6 +85,7 @@ func (r *Registry) Add(spec Spec) (*Flow, error) {
 	}
 	r.next++
 	r.flows[f.ID] = f
+	r.record(f.ID)
 	return f, nil
 }
 
@@ -65,6 +97,9 @@ func (r *Registry) Get(id ID) (*Flow, error) {
 	}
 	return f, nil
 }
+
+// NextID returns the ID the next Add will assign.
+func (r *Registry) NextID() ID { return r.next }
 
 // Len returns the number of registered flows (placed or not).
 func (r *Registry) Len() int { return len(r.flows) }
@@ -80,14 +115,8 @@ func (r *Registry) Bind(f *Flow, path routing.Path) error {
 	}
 	f.path = path
 	f.placed = true
-	for _, l := range path.Links() {
-		m := r.onLink[l]
-		if m == nil {
-			m = make(map[ID]*Flow)
-			r.onLink[l] = m
-		}
-		m[f.ID] = f
-	}
+	r.index(f)
+	r.record(f.ID)
 	return nil
 }
 
@@ -100,14 +129,10 @@ func (r *Registry) Unbind(f *Flow) error {
 	if !f.placed {
 		return fmt.Errorf("unbind %v: %w", f, ErrNotPlaced)
 	}
-	for _, l := range f.path.Links() {
-		delete(r.onLink[l], f.ID)
-		if len(r.onLink[l]) == 0 {
-			delete(r.onLink, l)
-		}
-	}
+	r.unindex(f)
 	f.path = routing.Path{}
 	f.placed = false
+	r.record(f.ID)
 	return nil
 }
 
@@ -123,7 +148,70 @@ func (r *Registry) Remove(f *Flow) error {
 		}
 	}
 	delete(r.flows, f.ID)
+	r.record(f.ID)
 	return nil
+}
+
+// index adds f to the link index under every link of its path.
+func (r *Registry) index(f *Flow) {
+	for _, l := range f.path.Links() {
+		m := r.onLink[l]
+		if m == nil {
+			m = make(map[ID]*Flow)
+			r.onLink[l] = m
+		}
+		m[f.ID] = f
+	}
+}
+
+// unindex removes f from the link index under every link of its path.
+func (r *Registry) unindex(f *Flow) {
+	for _, l := range f.path.Links() {
+		delete(r.onLink[l], f.ID)
+		if len(r.onLink[l]) == 0 {
+			delete(r.onLink, l)
+		}
+	}
+}
+
+// record notes that flow id just changed: in the journal ring, or on a
+// fork in its dirty set.
+func (r *Registry) record(id ID) {
+	r.seq++
+	if r.origin != nil {
+		if len(r.dirty) < journalCap {
+			r.dirty[id] = struct{}{}
+		}
+		return
+	}
+	if r.journal == nil {
+		r.journal = make([]ID, journalCap)
+		r.journalLo = r.seq
+	}
+	r.journal[(r.seq-1)%journalCap] = id
+	if r.seq-r.journalLo >= journalCap {
+		r.journalLo = r.seq - journalCap + 1
+	}
+}
+
+// AppendChangesSince appends to buf the ID of every flow changed after
+// change count since (one entry per change, so a flow changed k times
+// appears k times) and reports whether the journal covered the whole
+// gap. A false return means history was lost — since is too old, or
+// journaling is off (forks) — and the caller must treat every flow as
+// changed. since >= the current count trivially succeeds with no
+// appends.
+func (r *Registry) AppendChangesSince(buf []ID, since uint64) ([]ID, bool) {
+	if since >= r.seq {
+		return buf, true
+	}
+	if r.origin != nil || r.journal == nil || since+1 < r.journalLo {
+		return buf, false
+	}
+	for v := since + 1; v <= r.seq; v++ {
+		buf = append(buf, r.journal[(v-1)%journalCap])
+	}
+	return buf, true
 }
 
 // Fork returns a scratch copy of the registry for trial planning: every
@@ -133,23 +221,92 @@ func (r *Registry) Remove(f *Flow) error {
 // counter is carried over so fork-minted IDs stay in the parent's ID
 // order.
 func (r *Registry) Fork() *Registry {
-	nr := &Registry{
-		next:   r.next,
-		flows:  make(map[ID]*Flow, len(r.flows)),
-		onLink: make(map[topology.LinkID]map[ID]*Flow, len(r.onLink)),
+	nr := &Registry{}
+	nr.cloneFrom(r)
+	return nr
+}
+
+// SyncFrom brings a fork back to src's state: afterwards r equals a
+// fresh src.Fork() — same flows by ID (fields, path, placement), same
+// link index, same next ID — whatever r did since it last matched.
+//
+// The work is proportional to the flows that changed, not to the flows
+// registered: r replays the IDs src journaled since r's last sync
+// together with the IDs r itself changed, copying each such flow from
+// src (or deleting it) and patching the link index. It falls back to a
+// full clone when r was never forked or synced from src, when src's
+// journal no longer covers the gap, or when r changed journalCap flows
+// or more.
+func (r *Registry) SyncFrom(src *Registry) {
+	if r.origin != src || len(r.dirty) >= journalCap {
+		r.cloneFrom(src)
+		return
 	}
-	for id, f := range r.flows {
+	changes, ok := src.AppendChangesSince(r.changes[:0], r.syncSeq)
+	r.changes = changes[:0]
+	if !ok {
+		r.cloneFrom(src)
+		return
+	}
+	for _, id := range changes {
+		r.dirty[id] = struct{}{}
+	}
+	for id := range r.dirty {
+		r.syncFlow(src, id)
+	}
+	clear(r.dirty)
+	r.next = src.next
+	r.syncSeq = src.seq
+	r.seq++
+}
+
+// syncFlow makes r's copy of flow id match src's.
+func (r *Registry) syncFlow(src *Registry, id ID) {
+	sf, f := src.flows[id], r.flows[id]
+	switch {
+	case sf == nil:
+		if f != nil {
+			r.unindex(f)
+			delete(r.flows, id)
+		}
+		return
+	case f == nil:
+		f = new(Flow)
+		r.flows[id] = f
+	case f.placed == sf.placed && f.path.Equal(sf.path):
+		*f = *sf // the link index already holds f under these links
+		return
+	default:
+		r.unindex(f)
+	}
+	*f = *sf
+	r.index(f)
+}
+
+// cloneFrom replaces r's state with a full copy of src's and makes r a
+// fork of src.
+func (r *Registry) cloneFrom(src *Registry) {
+	r.next = src.next
+	r.flows = make(map[ID]*Flow, len(src.flows))
+	r.onLink = make(map[topology.LinkID]map[ID]*Flow, len(src.onLink))
+	for id, f := range src.flows {
 		cp := *f
-		nr.flows[id] = &cp
+		r.flows[id] = &cp
 	}
-	for l, m := range r.onLink {
+	for l, m := range src.onLink {
 		nm := make(map[ID]*Flow, len(m))
 		for id := range m {
-			nm[id] = nr.flows[id]
+			nm[id] = r.flows[id]
 		}
-		nr.onLink[l] = nm
+		r.onLink[l] = nm
 	}
-	return nr
+	r.seq++
+	r.journal, r.journalLo = nil, 0
+	r.origin, r.syncSeq = src, src.seq
+	if r.dirty == nil {
+		r.dirty = make(map[ID]struct{})
+	}
+	clear(r.dirty)
 }
 
 // FlowsOn returns the flows currently routed over the given link, sorted
@@ -163,7 +320,7 @@ func (r *Registry) FlowsOn(link topology.LinkID) []*Flow {
 	for _, f := range m {
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	SortByID(out)
 	return out
 }
 
@@ -178,7 +335,7 @@ func (r *Registry) All() []*Flow {
 	for _, f := range r.flows {
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	SortByID(out)
 	return out
 }
 
@@ -190,6 +347,12 @@ func (r *Registry) Placed() []*Flow {
 			out = append(out, f)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	SortByID(out)
 	return out
+}
+
+// SortByID sorts flows by ID, the registry's deterministic iteration
+// order (IDs are unique, so the order is total).
+func SortByID(fs []*Flow) {
+	slices.SortFunc(fs, func(a, b *Flow) int { return cmp.Compare(a.ID, b.ID) })
 }

@@ -72,7 +72,8 @@ type Collector struct {
 	// ProbeResyncs counts fork refreshes after live-state commits.
 	ProbeForks   int
 	ProbeResyncs int
-	// ProbeWallTime is real (not simulated) wall-clock time spent probing.
+	// ProbeWallTime is real (not simulated) wall-clock time spent probing
+	// by this process; a checkpoint does not carry it across a restart.
 	ProbeWallTime time.Duration
 	// FaultsInjected counts fault injections applied to the run.
 	FaultsInjected int

@@ -77,12 +77,15 @@ func (n *Network) Fork() *Network {
 	}
 }
 
-// SyncFrom resets a fork's mutable state to match src: reservations are
-// copied in place and the flow registry is re-forked. The topology must
-// match (it panics otherwise, via Graph.SyncFrom).
+// SyncFrom resets a fork's mutable state to match src, so that it equals
+// a fresh src.Fork(): reservations are copied in place, and the flow
+// registry replays only the flows src and the fork changed since the
+// fork last matched src (flow.Registry.SyncFrom, which falls back to a
+// full clone when its change journal cannot cover the gap). The
+// topology must match (it panics otherwise, via Graph.SyncFrom).
 func (n *Network) SyncFrom(src *Network) {
 	n.graph.SyncFrom(src.graph)
-	n.reg = src.reg.Fork()
+	n.reg.SyncFrom(src.reg)
 }
 
 // Provider returns the routing provider.
@@ -291,11 +294,7 @@ func (n *Network) FlowsAcross(links []topology.LinkID, exclude flow.EventID) []*
 	}
 	// FlowsOn returns each link's flows ID-sorted, but the union across
 	// links is not; restore global ID order for determinism.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].ID < out[j-1].ID; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	flow.SortByID(out)
 	return out
 }
 

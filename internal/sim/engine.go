@@ -462,7 +462,7 @@ func (e *Engine) syncProbeStats() {
 	e.collector.ProbeJournalMisses = e.probeBase.JournalMisses + st.JournalMisses
 	e.collector.ProbeForks = e.probeBase.Forks + st.Forks
 	e.collector.ProbeResyncs = e.probeBase.Resyncs + st.Resyncs
-	e.collector.ProbeWallTime = time.Duration(e.probeBase.WallTimeNs) + st.ProbeTime
+	e.collector.ProbeWallTime = st.ProbeTime
 	if e.obs != nil {
 		if m := e.obs.Metrics(); m != nil {
 			m.SetProbeStats(int64(e.collector.ProbeCacheHits), int64(e.collector.ProbeCacheMisses))

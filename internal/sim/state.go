@@ -36,15 +36,19 @@ type TimeoutState struct {
 // a checkpoint. A recovered engine's probe caches start cold, so its
 // own probe counters restart at zero; syncProbeStats adds this baseline
 // back, keeping the collector's run totals continuous across restarts.
+// Probe wall time is not carried: it is real time, so freezing it into
+// the checkpoint would make the same input write different bytes. Like
+// the wall-clock latency histograms it is process-local and restarts
+// at zero. (Checkpoints that still hold "wall_time_ns" decode; the
+// field is ignored.)
 type ProbeBase struct {
-	Hits          int   `json:"hits"`
-	Misses        int   `json:"misses"`
-	Cold          int   `json:"cold"`
-	Incremental   int   `json:"incremental"`
-	JournalMisses int   `json:"journal_misses"`
-	Forks         int   `json:"forks"`
-	Resyncs       int   `json:"resyncs"`
-	WallTimeNs    int64 `json:"wall_time_ns"`
+	Hits          int `json:"hits"`
+	Misses        int `json:"misses"`
+	Cold          int `json:"cold"`
+	Incremental   int `json:"incremental"`
+	JournalMisses int `json:"journal_misses"`
+	Forks         int `json:"forks"`
+	Resyncs       int `json:"resyncs"`
 }
 
 // EngineState is the engine's checkpointable run state.
@@ -85,7 +89,6 @@ func (e *Engine) ExportState() EngineState {
 			JournalMisses: e.collector.ProbeJournalMisses,
 			Forks:         e.collector.ProbeForks,
 			Resyncs:       e.collector.ProbeResyncs,
-			WallTimeNs:    int64(e.collector.ProbeWallTime),
 		},
 	}
 	index := make(map[flow.ID]int)
@@ -146,7 +149,6 @@ func (e *Engine) RestoreState(st EngineState, flows []*flow.Flow) error {
 	e.collector.ProbeJournalMisses = st.Probe.JournalMisses
 	e.collector.ProbeForks = st.Probe.Forks
 	e.collector.ProbeResyncs = st.Probe.Resyncs
-	e.collector.ProbeWallTime = time.Duration(st.Probe.WallTimeNs)
 	return nil
 }
 
